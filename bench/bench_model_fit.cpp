@@ -68,6 +68,7 @@
 #include "perfmodel/sweep_ingest.hpp"
 #include "perfmodel/term_basis.hpp"
 #include "sim/simulators.hpp"
+#include "util/cli.hpp"
 #include "util/profiler.hpp"
 #include "util/rng.hpp"
 
@@ -91,37 +92,23 @@ struct Options {
   std::uint64_t seed = 1;
 };
 
-bool parse_flag(const std::string& arg, const std::string& name,
-                std::string* value) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
+/// Parses the flags above; returns false (after printing why) on an
+/// unknown flag or a malformed value.
+bool parse_options(int argc, char** argv, Options* opt) {
+  auto seed = static_cast<std::int64_t>(opt->seed);
+  Cli cli("bench_model_fit", "fit, validate and extrapolate perf models");
+  cli.add_flag("smoke", '\0', "small sweep + all gates (CI)", &opt->smoke);
+  cli.add_flag("profile", '\0', "enable the scoped-span profiler",
+               &opt->profile);
+  cli.add_double("mean-cost", '\0', "mean synthetic task cost, sim-seconds",
+                 &opt->mean_cost);
+  cli.add_string("report", '\0', "JSON report path", &opt->report_path);
+  cli.add_string("train-from", '\0',
+                 "train from an existing report's sweep", &opt->train_from);
+  cli.add_int("seed", '\0', "workload + CV-split seed", &seed);
+  if (!cli.parse(argc, argv)) return false;
+  opt->seed = static_cast<std::uint64_t>(seed);
   return true;
-}
-
-Options parse_options(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (arg == "--smoke") {
-      opt.smoke = true;
-    } else if (arg == "--profile") {
-      opt.profile = true;
-    } else if (parse_flag(arg, "mean-cost", &value)) {
-      opt.mean_cost = std::stod(value);
-    } else if (parse_flag(arg, "report", &value)) {
-      opt.report_path = value;
-    } else if (parse_flag(arg, "train-from", &value)) {
-      opt.train_from = value;
-    } else if (parse_flag(arg, "seed", &value)) {
-      opt.seed = std::stoull(value);
-    } else {
-      std::cerr << "unknown flag: " << arg << "\n";
-      std::exit(2);
-    }
-  }
-  return opt;
 }
 
 /// Enough tasks per proc that max-of-blocks order statistics and steal
@@ -256,7 +243,6 @@ std::vector<pm::SweepCell> measure(const Options& opt, const ModelDef& model,
   const lb::Assignment block = lb::block_assignment(costs.size(), procs);
 
   MachineConfig flat = bench::make_machine(procs, kProcsPerNode);
-  flat.scheduler = SchedulerKind::kCalendarQueue;
   flat.counter_service = kCounterService;
   MachineConfig fat = flat;
   fat.network = fat_tree_network(opt.mean_cost);
@@ -424,7 +410,8 @@ struct Crossover {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse_options(argc, argv);
+  Options opt;
+  if (!parse_options(argc, argv, &opt)) return 2;
   if (opt.profile) emc::util::Profiler::global().set_enabled(true);
 
   std::cout << "##############################################\n"

@@ -5,17 +5,6 @@
 
 namespace emc::net {
 
-namespace {
-
-// Flow-mode constants: utilization is measured against at least one
-// microsecond of elapsed simulated time (avoids a divide-by-~0 spike at
-// t = 0), and clamped at 95% so the wait term stays finite (19x the
-// serialization time at the cap).
-constexpr double kFlowMinElapsed = 1.0e-6;
-constexpr double kFlowMaxUtilization = 0.95;
-
-}  // namespace
-
 NetworkModel::NetworkModel(const NetworkConfig& config, int n_procs,
                            int procs_per_node, double intra_latency,
                            double inter_latency)
@@ -99,28 +88,12 @@ double NetworkModel::send(int src_proc, int dst_proc, double issue,
       // not occupy the link and cannot be queued behind: the model then
       // degenerates to pure latency, like the legacy one.
       if (ser > 0.0) {
-        if (config_.congestion == CongestionMode::kFlow) {
-          // Aggregate-flow approximation: charge the M/M/1-style
-          // expected wait ser * u / (1 - u) for the link's utilization
-          // so far instead of booking the transfer. u is clamped so a
-          // saturated link costs a large finite penalty rather than
-          // diverging.
-          const double elapsed = std::max(t, kFlowMinElapsed);
-          const double u =
-              std::min(link_busy_[lu] / elapsed, kFlowMaxUtilization);
-          const double flow_wait = ser * u / (1.0 - u);
-          queued += flow_wait;
-          link_busy_[lu] += ser;
-          stats_.serialization += ser;
-          t += flow_wait + ser;
-        } else {
-          const double start = std::max(t, link_free_[lu]);
-          queued += start - t;
-          link_free_[lu] = start + ser;
-          link_busy_[lu] += ser;
-          stats_.serialization += ser;
-          t = start + ser;
-        }
+        const double start = std::max(t, link_free_[lu]);
+        queued += start - t;
+        link_free_[lu] = start + ser;
+        link_busy_[lu] += ser;
+        stats_.serialization += ser;
+        t = start + ser;
       }
       t += config_.per_hop_latency;
     }

@@ -28,13 +28,6 @@
 // round_trip() exactly `issue + 2 * latency`, the same floating-point
 // expressions the seed simulators evaluated, so default-configured runs
 // are bitwise identical to the pre-net code.
-//
-// NetworkConfig::congestion selects how shared links are charged:
-// kPerMessage (default) is the exact discrete-event occupancy described
-// above; kFlow replaces per-transfer booking with an aggregate
-// utilization-based wait (see CongestionMode in topology.hpp) for the
-// P >= 10k regime, where exact booking's serial link_free_ coupling and
-// memory traffic dominate.
 
 #include <cstddef>
 #include <cstdint>

@@ -27,24 +27,6 @@ TopologyKind parse_topology(const std::string& name) {
   throw std::invalid_argument("unknown topology '" + name + "'");
 }
 
-const char* congestion_name(CongestionMode mode) {
-  switch (mode) {
-    case CongestionMode::kPerMessage:
-      return "per-message";
-    case CongestionMode::kFlow:
-      return "flow";
-  }
-  return "?";
-}
-
-CongestionMode parse_congestion(const std::string& name) {
-  if (name == "per-message" || name == "permessage") {
-    return CongestionMode::kPerMessage;
-  }
-  if (name == "flow") return CongestionMode::kFlow;
-  throw std::invalid_argument("unknown congestion mode '" + name + "'");
-}
-
 namespace {
 
 // Link-id layout. Every topology with links gives each node an up

@@ -48,33 +48,6 @@ const char* topology_name(TopologyKind kind);
 /// name (accepts "fattree" as an alias for "fat-tree").
 TopologyKind parse_topology(const std::string& name);
 
-/// How shared-link contention is charged (NetworkModel::send).
-///
-///  - kPerMessage: exact discrete-event occupancy. Every transfer books
-///    [start, start + serialization) on each route link and queues
-///    behind earlier transfers. Exact, but each send is O(route length)
-///    with a serial dependency through link_free_ — the right model up
-///    to a few thousand procs.
-///  - kFlow: coarse aggregate-flow approximation for the P >= 10k
-///    regime. No per-transfer booking; each link tracks cumulative
-///    wire-seconds, and a transfer is charged an M/M/1-style expected
-///    wait ser * u / (1 - u), where u is the link's utilization so far
-///    (clamped below 1). O(1) state per link, no serial coupling between
-///    transfers, deterministic — but statistical: bursts no longer queue
-///    behind each other, so short-time congestion transients are
-///    smeared. EXPERIMENTS.md EXP-12 measures the error envelope.
-enum class CongestionMode : std::uint8_t {
-  kPerMessage = 0,
-  kFlow,
-};
-
-/// Display name ("per-message", "flow").
-const char* congestion_name(CongestionMode mode);
-
-/// Inverse of congestion_name; throws std::invalid_argument on an
-/// unknown name.
-CongestionMode parse_congestion(const std::string& name);
-
 /// Complete description of a network: topology shape plus the LogGP-style
 /// cost knobs every message pays. The default is the seed's legacy flat
 /// model — zero-cost to construct and bitwise-compatible with the
@@ -111,11 +84,6 @@ struct NetworkConfig {
   /// (counter grabs, stolen tasks). 0 disables payload modelling. Derive
   /// from the workload with core::mean_task_comm_bytes.
   std::size_t task_payload_bytes = 0;
-
-  /// Contention model; ignored for the legacy flat topology (which has
-  /// no links). kPerMessage is exact and the default; kFlow trades
-  /// queueing precision for O(1) sends at datacenter scale.
-  CongestionMode congestion = CongestionMode::kPerMessage;
 
   bool legacy() const { return topology == TopologyKind::kLegacyFlat; }
 };

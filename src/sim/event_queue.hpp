@@ -1,60 +1,23 @@
 #pragma once
 
-// Pluggable event schedulers for the discrete-event simulators.
+// The event queue the discrete-event simulators drain.
 //
 // Every event-driven simulator (counter family, hybrid tail, work
-// stealing) drains a priority queue of (time, key) pairs. The seed used
-// std::priority_queue — O(log n) per operation, which dominates the hot
-// loop once the pending-event set reaches datacenter scale (P = 10k-100k
-// outstanding proc events). This header provides two interchangeable
-// backends behind one EventQueue facade:
-//
-//  - kBinaryHeap: the std-heap oracle, kept as the default so every
-//    seed-era golden number stays bitwise identical.
-//  - kCalendarQueue: Brown's calendar queue — a rotating array of time
-//    buckets ("days" of a "year"), each holding the events that fall in
-//    its slice. Enqueue hashes the timestamp to a bucket in O(1);
-//    dequeue scans forward from the current day. Bucket count and width
-//    adapt to the live event population, giving amortized O(1) per
-//    operation instead of O(log n).
-//
-// Determinism contract: pops follow the strict total order
-// (time ascending, key ascending). Callers encode their tie-break AND
-// payload into `key` (the work-stealing simulator packs its monotone
-// sequence number above the proc id, the counter family packs
-// (proc << 1) | kind), and never enqueue two events with equal
-// (time, key). Under that contract both backends pop the exact same
-// sequence, so a simulation is bitwise reproducible across schedulers —
-// the property tests/test_sim_schedulers.cpp pins.
-//
-// Storage is pooled: events live in flat per-bucket arrays of packed
-// 16-byte (time, key) words that are recycled across the run — no
-// per-event heap allocation once the bucket arrays are warm. Timestamps
-// must be non-negative and finite; the packing relies on the IEEE-754
-// property that bit patterns of non-negative doubles order like
-// unsigned integers.
+// stealing) drains a min-queue of (time, key) pairs. Pops follow the
+// strict total order (time ascending, key ascending). Callers encode
+// their tie-break AND payload into `key` (the work-stealing simulator
+// packs its monotone sequence number above the proc id, the counter
+// family packs (proc << 1) | kind) and never enqueue two events with
+// equal (time, key), so the pop sequence — and with it every simulated
+// number — is fully determined by the pushes.
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <queue>
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace emc::sim {
-
-/// Which event-scheduler backend a simulation drains.
-enum class SchedulerKind : std::uint8_t {
-  kBinaryHeap = 0,  ///< std::priority_queue oracle, O(log n)
-  kCalendarQueue,   ///< calendar queue, amortized O(1)
-};
-
-/// Display name ("heap", "calendar").
-const char* scheduler_name(SchedulerKind kind);
-
-/// Inverse of scheduler_name; throws std::invalid_argument on an
-/// unknown name (accepts "calendar-queue" as an alias for "calendar").
-SchedulerKind parse_scheduler(const std::string& name);
 
 /// One scheduled event: fires at `time`; `key` is the strict tie-break
 /// and carries the caller's payload bits.
@@ -63,119 +26,42 @@ struct SimEvent {
   std::uint64_t key = 0;
 };
 
-/// Min-queue over (time, key) with selectable backend. Not thread-safe;
-/// one per simulation run.
+/// Binary-heap min-queue over (time, key). Not thread-safe; one per
+/// simulation run.
 class EventQueue {
  public:
-  /// `expected` sizes the initial calendar (and reserves the heap) so
-  /// the steady-state population triggers no growth — pass the proc
-  /// count for proc-event loops.
-  explicit EventQueue(SchedulerKind kind, std::size_t expected = 0);
+  /// Reserves room for `expected` pending events — pass the proc count
+  /// for proc-event loops, whose population never exceeds it.
+  explicit EventQueue(std::size_t expected = 0) {
+    std::vector<SimEvent> storage;
+    storage.reserve(expected);
+    heap_ = Heap(EventGreater{}, std::move(storage));
+  }
 
-  void push(double time, std::uint64_t key);
+  void push(double time, std::uint64_t key) {
+    heap_.push(SimEvent{time, key});
+  }
 
   /// Removes and returns the minimum (time, key) event. Precondition:
   /// !empty().
-  SimEvent pop();
+  SimEvent pop() {
+    const SimEvent ev = heap_.top();
+    heap_.pop();
+    return ev;
+  }
 
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-  SchedulerKind kind() const { return kind_; }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
  private:
-  // ---- calendar backend ----------------------------------------------
-
-  /// Packed bucket entry: non-negative-double time as raw bits, then the
-  /// tie-break key. Lexicographic compare on the two words is exactly
-  /// the (time, key) order.
-  struct Entry {
-    std::uint64_t tbits = 0;
-    std::uint64_t key = 0;
-
-    bool operator<(const Entry& o) const {
-      return tbits != o.tbits ? tbits < o.tbits : key < o.key;
-    }
-  };
-
-  /// One calendar day: entries[head, size) is the live population, kept
-  /// ascending in (time, key) at all times. The minimum pops from
-  /// `head` in O(1); a push appends in O(1) when it is >= the current
-  /// back — the overwhelmingly common case, since simulators push
-  /// near-monotone times with monotone tie-break keys (the t=0 burst of
-  /// P ascending-key events is a pure append run) — and binary-inserts
-  /// otherwise. The dead prefix [0, head) is reclaimed when the bucket
-  /// drains. Keeping buckets sorted eliminates re-sorting entirely:
-  /// a lazily-sorted design re-sorts a clustered bucket on every
-  /// pop/push interleaving, which profiling showed dominating the
-  /// hierarchical-counter replay.
-  struct Bucket {
-    std::vector<Entry> entries;
-    std::size_t head = 0;
-
-    bool empty() const { return head >= entries.size(); }
-    const Entry& min() const { return entries[head]; }
-  };
-
-  static double entry_time(const Entry& e) {
-    return std::bit_cast<double>(e.tbits);
-  }
-
-  std::uint64_t epoch_of(double time) const {
-    return static_cast<std::uint64_t>(time / width_);
-  }
-
-  void cal_push(double time, std::uint64_t key);
-  SimEvent cal_pop();
-  SimEvent take_front(Bucket& bucket);
-  /// Full sweep for the global minimum; used when a year's rotation
-  /// finds nothing (the population is far in the future).
-  SimEvent direct_search();
-  /// Rebuilds the calendar with ~`n_buckets` buckets and a width fitted
-  /// to the live population's time spread.
-  void rebuild(std::size_t n_buckets);
-
-  SchedulerKind kind_;
-  std::size_t size_ = 0;
-
-  // Binary-heap backend (kept exactly std::priority_queue so the oracle
-  // is beyond suspicion).
   struct EventGreater {
     bool operator()(const SimEvent& a, const SimEvent& b) const {
       return a.time != b.time ? a.time > b.time : a.key > b.key;
     }
   };
-  std::priority_queue<SimEvent, std::vector<SimEvent>, EventGreater> heap_;
-
-  // Calendar state. cur_epoch_ is the integer index of the day being
-  // scanned (bucket = cur_epoch_ & mask_); epochs are recomputed from
-  // timestamps with the same expression everywhere, so there is no
-  // incremental floating-point drift.
-  std::vector<Bucket> buckets_;
-  std::size_t mask_ = 0;           ///< bucket count - 1 (power of two)
-  double width_ = kDefaultWidth;   ///< seconds per day
-  std::uint64_t cur_epoch_ = 0;
-  /// Pushes + pops since the last rebuild; rate-limits the adaptive
-  /// width re-fits (hot bucket / empty year) to amortized O(1).
-  std::size_t ops_since_rebuild_ = 0;
-  /// True once a rebuild has fitted width_ to a population with a
-  /// nonzero time spread. Until then the width is the arbitrary
-  /// default, and a hot bucket spanning distinct times may trigger an
-  /// eager re-fit without waiting out the rate limit — otherwise the
-  /// entire initial population lands in a handful of days and every
-  /// push pays a long memmove until ops_since_rebuild_ catches up.
-  bool fitted_ = false;
-
-  static constexpr double kDefaultWidth = 1.0e-6;
-  /// Floor on the fitted day width. Only guards the epoch computation
-  /// against uint64 overflow (t / width < 2^64 holds for t up to ~10^7
-  /// simulated seconds); it must stay far below the fitted width for
-  /// dense populations (2 * span / size ~ 3e-10 for a million events
-  /// spread over tens of microseconds), or clamping packs many events
-  /// per day and every pop pays a hot-bucket re-fit.
-  static constexpr double kMinWidth = 1.0e-12;
-  /// A visited bucket holding more than this many events triggers a
-  /// width re-fit (subject to the ops_since_rebuild_ rate limit).
-  static constexpr std::size_t kHotBucket = 16;
+  using Heap =
+      std::priority_queue<SimEvent, std::vector<SimEvent>, EventGreater>;
+  Heap heap_;
 };
 
 }  // namespace emc::sim

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/trace.hpp"
 #include "util/rng.hpp"
 
@@ -93,13 +92,6 @@ struct MachineConfig {
   /// occupancy serializes concurrent transfers (congestion shows up as
   /// kLinkWait trace events and SimResult::net_link_wait).
   net::NetworkConfig network;
-
-  /// Event-scheduler backend the simulators drain. kBinaryHeap is the
-  /// default oracle (bitwise identical to the seed); kCalendarQueue is
-  /// the O(1) backend for the P >= 10k regime. Both pop the identical
-  /// event sequence, so results never depend on this knob — only speed
-  /// does (tests/test_sim_schedulers.cpp pins the identity).
-  SchedulerKind scheduler = SchedulerKind::kBinaryHeap;
 
   /// When set, each simulate_* run exports its network counters here
   /// (net/messages, net/link_wait_seconds, net/hottest_link, ...) via

@@ -223,6 +223,276 @@ struct RetryState {
   }
 };
 
+/// State every simulator starts from: core speeds, the compiled fault
+/// schedule, and a result with per-proc accounting sized and the fault
+/// windows traced.
+struct RunState {
+  std::vector<double> speeds;
+  FaultSchedule faults;
+  SimResult result;
+
+  RunState(const MachineConfig& config, std::size_t n_tasks)
+      : speeds(draw_core_speeds(config)), faults(config) {
+    init_result(result, config, n_tasks);
+    record_fault_windows(result, config, faults);
+  }
+};
+
+/// Runs tasks [0, count) on their assigned procs in index order: the
+/// static model, and the static prefix of the hybrid. Returns each
+/// proc's finish time.
+std::vector<double> run_static(const MachineConfig& config,
+                               std::span<const double> costs,
+                               const lb::Assignment& assignment,
+                               std::int64_t count, RunState& run) {
+  std::vector<double> finish(static_cast<std::size_t>(config.n_procs), 0.0);
+  for (std::int64_t i = 0; i < count; ++i) {
+    const auto pu =
+        static_cast<std::size_t>(assignment[static_cast<std::size_t>(i)]);
+    const double exec = costs[static_cast<std::size_t>(i)] / run.speeds[pu];
+    finish[pu] = run_task(config, run.faults, run.result,
+                          static_cast<int>(pu), i, finish[pu], exec);
+    ++run.result.events_processed;
+  }
+  return finish;
+}
+
+/// What a counter home grants a request: the time its response leaves
+/// the home, the task range [first, last) (empty once the work is
+/// exhausted, which retires the proc), and link wait the home incurred
+/// on the request's behalf beyond the request and response messages.
+struct Grant {
+  double ready = 0.0;
+  std::int64_t first = 0;
+  std::int64_t last = 0;
+  double extra_wait = 0.0;
+};
+
+/// The global shared counter on proc 0 (simulate_counter and the
+/// hybrid's dynamic tail): requests are served serially in arrival
+/// order, and each grant is the next chunk under the chunk policy.
+class GlobalCounter {
+ public:
+  GlobalCounter(const MachineConfig& config, const FaultSchedule& faults,
+                std::int64_t n_tasks, const CounterOptions& options,
+                std::int64_t first_task)
+      : config_(config),
+        faults_(faults),
+        options_(options),
+        n_tasks_(n_tasks),
+        next_task_(first_task) {
+    if (options.chunk < 1) {
+      throw std::invalid_argument("simulate: counter chunk < 1");
+    }
+    // Trapezoid self-scheduling parameters (Tzen & Ni): chunks shrink
+    // linearly from `first` to the floor across the expected grab count.
+    tss_first_ = std::max<std::int64_t>(
+        options.chunk, n_tasks / (2 * std::max(config.n_procs, 1)));
+    const std::int64_t tss_last = options.chunk;
+    const std::int64_t tss_grabs = std::max<std::int64_t>(
+        1, 2 * n_tasks / std::max<std::int64_t>(1, tss_first_ + tss_last));
+    tss_step_ = tss_grabs > 1 ? static_cast<double>(tss_first_ - tss_last) /
+                                    static_cast<double>(tss_grabs - 1)
+                              : 0.0;
+  }
+
+  int home(int /*proc*/) const { return 0; }
+
+  Grant grant(int /*proc*/, double arrival, net::NetworkModel& /*network*/) {
+    const double start =
+        std::max(faults_.outage_release(arrival), server_free_);
+    server_free_ = start + config_.counter_service;
+    const std::int64_t first = next_task_;
+    if (first < n_tasks_) {
+      next_task_ = std::min(n_tasks_, first + next_chunk(n_tasks_ - first));
+      ++grab_index_;
+    }
+    return Grant{server_free_, first, next_task_, 0.0};
+  }
+
+ private:
+  std::int64_t next_chunk(std::int64_t remaining) const {
+    switch (options_.policy) {
+      case ChunkPolicy::kFixed:
+        return options_.chunk;
+      case ChunkPolicy::kGuided:
+        return std::max(options_.chunk,
+                        (remaining + config_.n_procs - 1) / config_.n_procs);
+      case ChunkPolicy::kTrapezoid: {
+        const double c = static_cast<double>(tss_first_) -
+                         tss_step_ * static_cast<double>(grab_index_);
+        return std::max(options_.chunk, static_cast<std::int64_t>(c));
+      }
+    }
+    return options_.chunk;
+  }
+
+  const MachineConfig& config_;
+  const FaultSchedule& faults_;
+  CounterOptions options_;
+  std::int64_t n_tasks_;
+  std::int64_t next_task_;
+  double server_free_ = 0.0;
+  std::int64_t grab_index_ = 0;
+  std::int64_t tss_first_ = 0;
+  double tss_step_ = 0.0;
+};
+
+/// Per-node proxy counters (simulate_hierarchical_counter): each node
+/// leader serves its procs `proc_chunk` pieces of a [next, end) range,
+/// and refills the range with `node_chunk` tasks from the global counter
+/// on proc 0 (a leader -> proc 0 round trip, held by a counter-home
+/// outage) when it runs dry. Once the global range is dry too, requests
+/// get an empty grant.
+class NodeCounters {
+ public:
+  NodeCounters(const MachineConfig& config, const FaultSchedule& faults,
+               SimResult& result, std::int64_t n_tasks,
+               std::int64_t node_chunk, std::int64_t proc_chunk)
+      : config_(config),
+        faults_(faults),
+        result_(result),
+        n_tasks_(n_tasks),
+        node_chunk_(node_chunk),
+        proc_chunk_(proc_chunk) {
+    const auto n_nodes = static_cast<std::size_t>(
+        (config.n_procs + config.procs_per_node - 1) /
+        config.procs_per_node);
+    node_next_.assign(n_nodes, 0);
+    node_end_.assign(n_nodes, 0);
+    node_free_.assign(n_nodes, 0.0);
+  }
+
+  int home(int proc) const {
+    return config_.node_of(proc) * config_.procs_per_node;
+  }
+
+  Grant grant(int proc, double arrival, net::NetworkModel& network) {
+    const auto nu = static_cast<std::size_t>(config_.node_of(proc));
+    const int leader = home(proc);
+    double t = std::max(arrival, node_free_[nu]);
+    t += config_.counter_service;  // node-counter serialization
+    double refill_wait = 0.0;
+    if (node_next_[nu] >= node_end_[nu] && global_next_ < n_tasks_) {
+      const std::size_t ctrl = config_.network.control_bytes;
+      double up_wait = 0.0;
+      const double up = network.send(leader, 0, t, ctrl, &up_wait);
+      double g = std::max(faults_.outage_release(up), global_free_);
+      g += config_.counter_service;
+      global_free_ = g;
+      ++result_.counter_ops;
+      node_next_[nu] = global_next_;
+      global_next_ = std::min(n_tasks_, global_next_ + node_chunk_);
+      node_end_[nu] = global_next_;
+      double down_wait = 0.0;
+      t = network.send(0, leader, g, ctrl, &down_wait);
+      refill_wait = up_wait + down_wait;
+    }
+    node_free_[nu] = std::max(node_free_[nu], t);
+    const std::int64_t first = node_next_[nu];
+    const std::int64_t last = std::min(node_end_[nu], first + proc_chunk_);
+    node_next_[nu] = last;
+    return Grant{t, first, last, refill_wait};
+  }
+
+ private:
+  const MachineConfig& config_;
+  const FaultSchedule& faults_;
+  SimResult& result_;
+  std::int64_t n_tasks_;
+  std::int64_t node_chunk_;
+  std::int64_t proc_chunk_;
+  std::vector<std::int64_t> node_next_;
+  std::vector<std::int64_t> node_end_;
+  std::vector<double> node_free_;
+  double global_free_ = 0.0;
+  std::int64_t global_next_ = 0;
+};
+
+/// The counter-family event loop. Proc p issues its first request at
+/// start[p]; every active proc then has exactly one outstanding event:
+/// a kIssue books its request message to `counter.home(p)`, the matching
+/// kArrival either retries a dropped round trip or takes
+/// `counter.grant(...)`, receives the response, and executes the
+/// granted tasks (or retires on an empty grant). `Counter` is a
+/// template parameter so the grant inlines into the loop.
+template <typename Counter>
+void run_counter_loop(const MachineConfig& config,
+                      std::span<const double> costs, RunState& run,
+                      std::span<const double> start, Counter& counter) {
+  SimResult& result = run.result;
+  RetryState retries(config.n_procs);
+  net::NetworkModel network = make_network(config);
+  const std::size_t ctrl = config.network.control_bytes;
+  const auto n_tasks = static_cast<std::int64_t>(costs.size());
+  EventQueue events(static_cast<std::size_t>(config.n_procs));
+  std::vector<double> issue_time(static_cast<std::size_t>(config.n_procs),
+                                 0.0);
+  std::vector<double> issue_wait(issue_time.size(), 0.0);
+  double makespan = 0.0;
+  for (int p = 0; p < config.n_procs; ++p) {
+    const double t = start[static_cast<std::size_t>(p)];
+    events.push(t, counter_key(p, CounterEv::kIssue));
+    makespan = std::max(makespan, t);
+  }
+
+  while (!events.empty()) {
+    const SimEvent ev = events.pop();
+    ++result.events_processed;
+    const int p = counter_proc(ev.key);
+    const auto pu = static_cast<std::size_t>(p);
+    const int home = counter.home(p);
+    if (counter_kind(ev.key) == CounterEv::kIssue) {
+      issue_time[pu] = ev.time;
+      const double arrival =
+          network.send(p, home, ev.time, ctrl, &issue_wait[pu]);
+      events.push(arrival, counter_key(p, CounterEv::kArrival));
+      continue;
+    }
+    const double issue = issue_time[pu];
+    const double retry_at =
+        retries.resolve(config, run.faults, result, p, issue,
+                        2.0 * network.base_latency(p, home), home);
+    if (retry_at >= 0.0) {
+      // Round trip dropped: the proc times out, backs off, reissues.
+      events.push(retry_at, counter_key(p, CounterEv::kIssue));
+      continue;
+    }
+    const Grant g = counter.grant(p, ev.time, network);
+    ++result.counter_ops;
+    double resp_wait = 0.0;
+    const double response = network.send(home, p, g.ready, ctrl, &resp_wait);
+    result.counter_wait += response - issue;
+    const bool granted = g.first < g.last;
+    if (config.record_trace) {
+      record(result, TraceEventType::kCounterOp, p, issue, response,
+             granted ? g.first : -1, home);
+      const double waited = issue_wait[pu] + g.extra_wait + resp_wait;
+      if (waited > 0.0) {
+        record(result, TraceEventType::kLinkWait, p, issue, issue + waited,
+               -1, home);
+      }
+    }
+    if (!granted) {
+      // Proc learns the work is exhausted and retires.
+      makespan = std::max(makespan, response);
+      continue;
+    }
+    double t = fetch_task_payload(config, network, result, p, g.first,
+                                  g.last - g.first, n_tasks, response);
+    for (std::int64_t i = g.first; i < g.last; ++i) {
+      const double exec =
+          costs[static_cast<std::size_t>(i)] / run.speeds[pu];
+      t = run_task(config, run.faults, result, p, i, t, exec);
+    }
+    makespan = std::max(makespan, t);
+    events.push(t, counter_key(p, CounterEv::kIssue));
+  }
+
+  result.makespan = makespan;
+  finish_net(config, result, network);
+}
+
 }  // namespace
 
 SimResult simulate_static(const MachineConfig& config,
@@ -235,22 +505,12 @@ SimResult simulate_static(const MachineConfig& config,
   }
   lb::validate_assignment(assignment, config.n_procs);
 
-  const auto speeds = draw_core_speeds(config);
-  const FaultSchedule faults(config);
-  SimResult result;
-  init_result(result, config, costs.size());
-  record_fault_windows(result, config, faults);
-
-  std::vector<double> finish(static_cast<std::size_t>(config.n_procs), 0.0);
-  for (std::size_t t = 0; t < costs.size(); ++t) {
-    const auto p = static_cast<std::size_t>(assignment[t]);
-    const double exec = costs[t] / speeds[p];
-    finish[p] = run_task(config, faults, result, static_cast<int>(p),
-                         static_cast<std::int64_t>(t), finish[p], exec);
-    ++result.events_processed;
-  }
-  result.makespan = *std::max_element(finish.begin(), finish.end());
-  return result;
+  RunState run(config, costs.size());
+  const std::vector<double> finish =
+      run_static(config, costs, assignment,
+                 static_cast<std::int64_t>(costs.size()), run);
+  run.result.makespan = *std::max_element(finish.begin(), finish.end());
+  return std::move(run.result);
 }
 
 SimResult simulate_counter(const MachineConfig& config,
@@ -266,126 +526,13 @@ SimResult simulate_counter(const MachineConfig& config,
                            const CounterOptions& options) {
   EMC_PROF_SPAN("sim/counter");
   check_inputs(config, costs);
-  if (options.chunk < 1) {
-    throw std::invalid_argument("simulate_counter: chunk < 1");
-  }
-
-  const auto speeds = draw_core_speeds(config);
-  const FaultSchedule faults(config);
-  RetryState retries(config.n_procs);
-  const auto n_tasks = static_cast<std::int64_t>(costs.size());
-  SimResult result;
-  init_result(result, config, costs.size());
-  record_fault_windows(result, config, faults);
-
-  // Trapezoid self-scheduling parameters (Tzen & Ni): chunks shrink
-  // linearly from `first` to the floor across the expected grab count.
-  const std::int64_t tss_first = std::max<std::int64_t>(
-      options.chunk, n_tasks / (2 * std::max(config.n_procs, 1)));
-  const std::int64_t tss_last = options.chunk;
-  const std::int64_t tss_grabs = std::max<std::int64_t>(
-      1, 2 * n_tasks / std::max<std::int64_t>(1, tss_first + tss_last));
-  const double tss_step =
-      tss_grabs > 1 ? static_cast<double>(tss_first - tss_last) /
-                          static_cast<double>(tss_grabs - 1)
-                    : 0.0;
-
-  std::int64_t grab_index = 0;
-  auto next_chunk = [&](std::int64_t remaining) -> std::int64_t {
-    switch (options.policy) {
-      case ChunkPolicy::kFixed:
-        return options.chunk;
-      case ChunkPolicy::kGuided:
-        return std::max(options.chunk,
-                        (remaining + config.n_procs - 1) / config.n_procs);
-      case ChunkPolicy::kTrapezoid: {
-        const double c = static_cast<double>(tss_first) -
-                         tss_step * static_cast<double>(grab_index);
-        return std::max(tss_last, static_cast<std::int64_t>(c));
-      }
-    }
-    return options.chunk;
-  };
-
-  // The counter lives on proc 0's node; requests are served serially in
-  // arrival order. Every active proc has exactly one outstanding event:
-  // a kIssue books its request message into the network, the matching
-  // kArrival is served by the counter home.
-  net::NetworkModel network = make_network(config);
-  const std::size_t ctrl = config.network.control_bytes;
-  EventQueue events(config.scheduler,
-                    static_cast<std::size_t>(config.n_procs));
-  std::vector<double> issue_time(static_cast<std::size_t>(config.n_procs),
-                                 0.0);
-  std::vector<double> issue_wait(issue_time.size(), 0.0);
-  for (int p = 0; p < config.n_procs; ++p) {
-    events.push(0.0, counter_key(p, CounterEv::kIssue));
-  }
-
-  double server_free = 0.0;
-  std::int64_t next_task = 0;
-  double makespan = 0.0;
-
-  while (!events.empty()) {
-    const SimEvent ev = events.pop();
-    ++result.events_processed;
-    const int p = counter_proc(ev.key);
-    const auto pu = static_cast<std::size_t>(p);
-    if (counter_kind(ev.key) == CounterEv::kIssue) {
-      issue_time[pu] = ev.time;
-      const double arrival =
-          network.send(p, 0, ev.time, ctrl, &issue_wait[pu]);
-      events.push(arrival, counter_key(p, CounterEv::kArrival));
-      continue;
-    }
-    const double issue = issue_time[pu];
-    const double retry_at = retries.resolve(
-        config, faults, result, p, issue,
-        2.0 * network.base_latency(p, 0), 0);
-    if (retry_at >= 0.0) {
-      // Round trip dropped: the proc times out, backs off, reissues.
-      events.push(retry_at, counter_key(p, CounterEv::kIssue));
-      continue;
-    }
-    const double start =
-        std::max(faults.outage_release(ev.time), server_free);
-    server_free = start + config.counter_service;
-    double resp_wait = 0.0;
-    const double response = network.send(0, p, server_free, ctrl, &resp_wait);
-    ++result.counter_ops;
-    result.counter_wait += response - issue;
-
-    const std::int64_t first = next_task;
-    if (config.record_trace) {
-      record(result, TraceEventType::kCounterOp, p, issue, response,
-             first < n_tasks ? first : -1, 0);
-      const double waited = issue_wait[pu] + resp_wait;
-      if (waited > 0.0) {
-        record(result, TraceEventType::kLinkWait, p, issue, issue + waited,
-               -1, 0);
-      }
-    }
-    if (first >= n_tasks) {
-      // Proc learns the work is exhausted and retires.
-      makespan = std::max(makespan, response);
-      continue;
-    }
-    next_task = std::min(n_tasks, first + next_chunk(n_tasks - first));
-    ++grab_index;
-
-    double t = fetch_task_payload(config, network, result, p, first,
-                                  next_task - first, n_tasks, response);
-    for (std::int64_t i = first; i < next_task; ++i) {
-      const double exec = costs[static_cast<std::size_t>(i)] / speeds[pu];
-      t = run_task(config, faults, result, p, i, t, exec);
-    }
-    makespan = std::max(makespan, t);
-    events.push(t, counter_key(p, CounterEv::kIssue));
-  }
-
-  result.makespan = makespan;
-  finish_net(config, result, network);
-  return result;
+  RunState run(config, costs.size());
+  GlobalCounter counter(config, run.faults,
+                        static_cast<std::int64_t>(costs.size()), options, 0);
+  const std::vector<double> start(static_cast<std::size_t>(config.n_procs),
+                                  0.0);
+  run_counter_loop(config, costs, run, start, counter);
+  return std::move(run.result);
 }
 
 SimResult simulate_hierarchical_counter(const MachineConfig& config,
@@ -398,126 +545,14 @@ SimResult simulate_hierarchical_counter(const MachineConfig& config,
     throw std::invalid_argument(
         "simulate_hierarchical_counter: chunk < 1");
   }
-
-  const auto speeds = draw_core_speeds(config);
-  const FaultSchedule faults(config);
-  RetryState retries(config.n_procs);
-  const auto n_tasks = static_cast<std::int64_t>(costs.size());
-  const int n_nodes =
-      (config.n_procs + config.procs_per_node - 1) / config.procs_per_node;
-  SimResult result;
-  init_result(result, config, costs.size());
-  record_fault_windows(result, config, faults);
-
-  // Per-node proxy counter state: [range_next, range_end) plus server
-  // availability. The global counter (proc 0's node) hands out
-  // node_chunk ranges; exhausted nodes stop refilling when the global
-  // range is dry.
-  std::vector<std::int64_t> node_next(static_cast<std::size_t>(n_nodes), 0);
-  std::vector<std::int64_t> node_end(static_cast<std::size_t>(n_nodes), 0);
-  std::vector<double> node_free(static_cast<std::size_t>(n_nodes), 0.0);
-  double global_free = 0.0;
-  std::int64_t global_next = 0;
-
-  net::NetworkModel network = make_network(config);
-  const std::size_t ctrl = config.network.control_bytes;
-  EventQueue events(config.scheduler,
-                    static_cast<std::size_t>(config.n_procs));
-  std::vector<double> issue_time(static_cast<std::size_t>(config.n_procs),
-                                 0.0);
-  std::vector<double> issue_wait(issue_time.size(), 0.0);
-  for (int p = 0; p < config.n_procs; ++p) {
-    events.push(0.0, counter_key(p, CounterEv::kIssue));
-  }
-
-  double makespan = 0.0;
-  while (!events.empty()) {
-    const SimEvent ev = events.pop();
-    ++result.events_processed;
-    const int p = counter_proc(ev.key);
-    const auto pu = static_cast<std::size_t>(p);
-    const int node = config.node_of(p);
-    const auto nu = static_cast<std::size_t>(node);
-    const int leader = node * config.procs_per_node;
-
-    if (counter_kind(ev.key) == CounterEv::kIssue) {
-      issue_time[pu] = ev.time;
-      const double arrival =
-          network.send(p, leader, ev.time, ctrl, &issue_wait[pu]);
-      events.push(arrival, counter_key(p, CounterEv::kArrival));
-      continue;
-    }
-    const double issue = issue_time[pu];
-    const double retry_at = retries.resolve(
-        config, faults, result, p, issue,
-        2.0 * network.base_latency(p, leader), leader);
-    if (retry_at >= 0.0) {
-      events.push(retry_at, counter_key(p, CounterEv::kIssue));
-      continue;
-    }
-
-    double t = std::max(ev.time, node_free[nu]);
-    t += config.counter_service;  // node-counter serialization
-    ++result.counter_ops;
-    double refill_wait = 0.0;
-
-    if (node_next[nu] >= node_end[nu]) {
-      // Refill from the global counter (leader -> proc 0 round trip);
-      // an outage at the global home holds the refill until it ends.
-      if (global_next < n_tasks) {
-        double up_wait = 0.0;
-        const double up = network.send(leader, 0, t, ctrl, &up_wait);
-        double g = std::max(faults.outage_release(up), global_free);
-        g += config.counter_service;
-        global_free = g;
-        ++result.counter_ops;
-        node_next[nu] = global_next;
-        global_next = std::min(n_tasks, global_next + node_chunk);
-        node_end[nu] = global_next;
-        double down_wait = 0.0;
-        t = network.send(0, leader, g, ctrl, &down_wait);
-        refill_wait = up_wait + down_wait;
-      }
-    }
-    node_free[nu] = std::max(node_free[nu], t);
-
-    double resp_wait = 0.0;
-    const double response = network.send(leader, p, t, ctrl, &resp_wait);
-    result.counter_wait += response - issue;
-
-    const bool dry = node_next[nu] >= node_end[nu];
-    if (config.record_trace) {
-      record(result, TraceEventType::kCounterOp, p, issue, response,
-             dry ? -1 : node_next[nu], leader);
-      const double waited = issue_wait[pu] + refill_wait + resp_wait;
-      if (waited > 0.0) {
-        record(result, TraceEventType::kLinkWait, p, issue, issue + waited,
-               -1, leader);
-      }
-    }
-    if (dry) {
-      // Node dry and global dry: retire.
-      makespan = std::max(makespan, response);
-      continue;
-    }
-    const std::int64_t first = node_next[nu];
-    const std::int64_t last =
-        std::min(node_end[nu], first + proc_chunk);
-    node_next[nu] = last;
-
-    double done = fetch_task_payload(config, network, result, p, first,
-                                     last - first, n_tasks, response);
-    for (std::int64_t i = first; i < last; ++i) {
-      const double exec = costs[static_cast<std::size_t>(i)] / speeds[pu];
-      done = run_task(config, faults, result, p, i, done, exec);
-    }
-    makespan = std::max(makespan, done);
-    events.push(done, counter_key(p, CounterEv::kIssue));
-  }
-
-  result.makespan = makespan;
-  finish_net(config, result, network);
-  return result;
+  RunState run(config, costs.size());
+  NodeCounters counter(config, run.faults, run.result,
+                       static_cast<std::int64_t>(costs.size()), node_chunk,
+                       proc_chunk);
+  const std::vector<double> start(static_cast<std::size_t>(config.n_procs),
+                                  0.0);
+  run_counter_loop(config, costs, run, start, counter);
+  return std::move(run.result);
 }
 
 SimResult simulate_hybrid(const MachineConfig& config,
@@ -546,99 +581,18 @@ SimResult simulate_hybrid(const MachineConfig& config,
     --split;
   }
 
-  const auto speeds = draw_core_speeds(config);
-  const FaultSchedule faults(config);
-  RetryState retries(config.n_procs);
-  SimResult result;
-  init_result(result, config, costs.size());
-  record_fault_windows(result, config, faults);
-
-  // Phase 1: static prefix.
-  std::vector<double> finish(static_cast<std::size_t>(config.n_procs), 0.0);
-  for (std::int64_t i = 0; i < split; ++i) {
-    const auto pu =
-        static_cast<std::size_t>(assignment[static_cast<std::size_t>(i)]);
-    const double exec = costs[static_cast<std::size_t>(i)] / speeds[pu];
-    finish[pu] = run_task(config, faults, result, static_cast<int>(pu), i,
-                          finish[pu], exec);
-    ++result.events_processed;
-  }
-
-  // Phase 2: counter-scheduled tail; procs join as they finish.
-  net::NetworkModel network = make_network(config);
-  const std::size_t ctrl = config.network.control_bytes;
-  EventQueue events(config.scheduler,
-                    static_cast<std::size_t>(config.n_procs));
-  std::vector<double> issue_time(static_cast<std::size_t>(config.n_procs),
-                                 0.0);
-  std::vector<double> issue_wait(issue_time.size(), 0.0);
-  for (int p = 0; p < config.n_procs; ++p) {
-    events.push(finish[static_cast<std::size_t>(p)],
-                counter_key(p, CounterEv::kIssue));
-  }
-  double server_free = 0.0;
-  std::int64_t next_task = split;
-  const auto n_tasks = static_cast<std::int64_t>(costs.size());
-  double makespan = 0.0;
-  for (double f : finish) makespan = std::max(makespan, f);
-
-  while (!events.empty()) {
-    const SimEvent ev = events.pop();
-    ++result.events_processed;
-    const int p = counter_proc(ev.key);
-    const auto pu = static_cast<std::size_t>(p);
-    if (counter_kind(ev.key) == CounterEv::kIssue) {
-      issue_time[pu] = ev.time;
-      const double arrival =
-          network.send(p, 0, ev.time, ctrl, &issue_wait[pu]);
-      events.push(arrival, counter_key(p, CounterEv::kArrival));
-      continue;
-    }
-    const double issue = issue_time[pu];
-    const double retry_at = retries.resolve(
-        config, faults, result, p, issue,
-        2.0 * network.base_latency(p, 0), 0);
-    if (retry_at >= 0.0) {
-      events.push(retry_at, counter_key(p, CounterEv::kIssue));
-      continue;
-    }
-    const double start =
-        std::max(faults.outage_release(ev.time), server_free);
-    server_free = start + config.counter_service;
-    double resp_wait = 0.0;
-    const double response = network.send(0, p, server_free, ctrl, &resp_wait);
-    ++result.counter_ops;
-    result.counter_wait += response - issue;
-
-    const std::int64_t first = next_task;
-    if (config.record_trace) {
-      record(result, TraceEventType::kCounterOp, p, issue, response,
-             first < n_tasks ? first : -1, 0);
-      const double waited = issue_wait[pu] + resp_wait;
-      if (waited > 0.0) {
-        record(result, TraceEventType::kLinkWait, p, issue, issue + waited,
-               -1, 0);
-      }
-    }
-    if (first >= n_tasks) {
-      makespan = std::max(makespan, response);
-      continue;
-    }
-    next_task = std::min(n_tasks, first + chunk);
-
-    double t = fetch_task_payload(config, network, result, p, first,
-                                  next_task - first, n_tasks, response);
-    for (std::int64_t i = first; i < next_task; ++i) {
-      const double exec = costs[static_cast<std::size_t>(i)] / speeds[pu];
-      t = run_task(config, faults, result, p, i, t, exec);
-    }
-    makespan = std::max(makespan, t);
-    events.push(t, counter_key(p, CounterEv::kIssue));
-  }
-
-  result.makespan = makespan;
-  finish_net(config, result, network);
-  return result;
+  RunState run(config, costs.size());
+  CounterOptions options;
+  options.chunk = chunk;
+  GlobalCounter counter(config, run.faults,
+                        static_cast<std::int64_t>(costs.size()), options,
+                        split);
+  // Static prefix, then the counter-scheduled tail: procs join as they
+  // finish their static part.
+  const std::vector<double> finish =
+      run_static(config, costs, assignment, split, run);
+  run_counter_loop(config, costs, run, finish, counter);
+  return std::move(run.result);
 }
 
 SimResult simulate_work_stealing(const MachineConfig& config,
@@ -654,15 +608,14 @@ SimResult simulate_work_stealing(const MachineConfig& config,
   }
   lb::validate_assignment(initial, config.n_procs);
 
-  const auto speeds = draw_core_speeds(config);
-  const FaultSchedule faults(config);
+  RunState run(config, costs.size());
+  const std::vector<double>& speeds = run.speeds;
+  const FaultSchedule& faults = run.faults;
+  SimResult& result = run.result;
   RetryState retries(config.n_procs);
   net::NetworkModel network = make_network(config);
   const std::size_t ctrl = config.network.control_bytes;
   const auto n_procs = static_cast<std::size_t>(config.n_procs);
-  SimResult result;
-  init_result(result, config, costs.size());
-  record_fault_windows(result, config, faults);
   if (executed_by != nullptr) {
     executed_by->assign(costs.size(), -1);
   }
@@ -679,7 +632,7 @@ SimResult simulate_work_stealing(const MachineConfig& config,
   // Events are keyed by a monotone sequence number packed above the proc
   // id: the (time, seq) order is the seed's deterministic tie-break, and
   // the proc rides along in the low bits.
-  EventQueue events(config.scheduler, n_procs);
+  EventQueue events(n_procs);
   std::uint64_t seq = 0;
   auto event_key = [](std::uint64_t s, int proc) {
     return (s << kProcBits) | static_cast<std::uint64_t>(proc);
@@ -822,7 +775,7 @@ SimResult simulate_work_stealing(const MachineConfig& config,
 
   result.makespan = makespan;
   finish_net(config, result, network);
-  return result;
+  return std::move(run.result);
 }
 
 std::vector<SimResult> simulate_retentive(const MachineConfig& config,

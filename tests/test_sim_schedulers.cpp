@@ -1,17 +1,19 @@
-// Event-scheduler backends (sim/event_queue.hpp), the pooled task rings
-// (sim/task_ring.hpp), and the cross-scheduler determinism contract:
-// every simulator must produce bitwise-identical SimResults whether it
-// drains the binary-heap oracle or the calendar queue — across
-// execution models, fault models, and network topologies. This identity
-// is what lets the calendar core replace the heap at scale without
-// re-validating a single experiment.
+// The simulator's event core and replay determinism: the EventQueue's
+// (time, key) pop order, the pooled task rings (sim/task_ring.hpp), and
+// pinned FNV-1a digests of complete SimResults for every execution model
+// across fault models and network topologies. Any change to a simulated
+// number, counter, event count or trace field fails here; a change that
+// is meant to move results must re-pin the table and say why.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
+#include <cstdint>
 #include <deque>
-#include <queue>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "lb/simple.hpp"
@@ -36,6 +38,7 @@ void expect_sorted_drain(EventQueue& queue,
             [](const SimEvent& a, const SimEvent& b) {
               return a.time != b.time ? a.time < b.time : a.key < b.key;
             });
+  EXPECT_EQ(queue.size(), pushed.size());
   for (const SimEvent& want : pushed) {
     ASSERT_FALSE(queue.empty());
     const SimEvent got = queue.pop();
@@ -45,102 +48,58 @@ void expect_sorted_drain(EventQueue& queue,
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(EventQueue, PopsInTimeKeyOrderBothBackends) {
-  for (SchedulerKind kind :
-       {SchedulerKind::kBinaryHeap, SchedulerKind::kCalendarQueue}) {
-    EventQueue queue(kind, 16);
-    Rng rng(42);
-    std::vector<SimEvent> pushed;
-    for (int i = 0; i < 5000; ++i) {
-      const double t = rng.uniform() * 1e-3;
-      const std::uint64_t key = static_cast<std::uint64_t>(i);
-      queue.push(t, key);
-      pushed.push_back(SimEvent{t, key});
-    }
-    expect_sorted_drain(queue, pushed);
+TEST(EventQueue, PopsInTimeKeyOrder) {
+  EventQueue queue(16);
+  Rng rng(42);
+  std::vector<SimEvent> pushed;
+  for (int i = 0; i < 5000; ++i) {
+    const double t = rng.uniform() * 1e-3;
+    const std::uint64_t key = static_cast<std::uint64_t>(i);
+    queue.push(t, key);
+    pushed.push_back(SimEvent{t, key});
   }
+  expect_sorted_drain(queue, pushed);
 }
 
 TEST(EventQueue, EqualTimesBreakTiesByKey) {
-  for (SchedulerKind kind :
-       {SchedulerKind::kBinaryHeap, SchedulerKind::kCalendarQueue}) {
-    EventQueue queue(kind, 16);
-    // A burst of equal timestamps (the t=0 initial-event burst every
-    // simulator produces) must pop in key order.
-    std::vector<SimEvent> pushed;
-    for (int i = 999; i >= 0; --i) {
-      queue.push(0.0, static_cast<std::uint64_t>(i));
-      pushed.push_back(SimEvent{0.0, static_cast<std::uint64_t>(i)});
-    }
-    expect_sorted_drain(queue, pushed);
+  EventQueue queue(16);
+  // A burst of equal timestamps (the t=0 initial-event burst every
+  // simulator produces) must pop in key order.
+  std::vector<SimEvent> pushed;
+  for (int i = 999; i >= 0; --i) {
+    queue.push(0.0, static_cast<std::uint64_t>(i));
+    pushed.push_back(SimEvent{0.0, static_cast<std::uint64_t>(i)});
   }
+  expect_sorted_drain(queue, pushed);
 }
 
 TEST(EventQueue, InterleavedPushPopStaysOrdered) {
   // DES-style usage: pops interleaved with pushes of later timestamps,
-  // occasionally far in the future (forcing bucket-year wraparounds).
-  EventQueue heap(SchedulerKind::kBinaryHeap, 8);
-  EventQueue cal(SchedulerKind::kCalendarQueue, 8);
+  // occasionally far in the future, against an ordered-set reference.
+  EventQueue queue(8);
+  std::set<std::pair<double, std::uint64_t>> ref;
   Rng rng(7);
   std::uint64_t key = 0;
   for (int p = 0; p < 64; ++p) {
-    heap.push(0.0, key);
-    cal.push(0.0, key);
+    queue.push(0.0, key);
+    ref.emplace(0.0, key);
     ++key;
   }
   for (int step = 0; step < 20000; ++step) {
-    ASSERT_EQ(heap.empty(), cal.empty());
-    if (heap.empty()) break;
-    const SimEvent a = heap.pop();
-    const SimEvent b = cal.pop();
-    ASSERT_EQ(a.time, b.time);
-    ASSERT_EQ(a.key, b.key);
+    ASSERT_EQ(queue.empty(), ref.empty());
+    if (queue.empty()) break;
+    const SimEvent a = queue.pop();
+    ASSERT_EQ(a.time, ref.begin()->first);
+    ASSERT_EQ(a.key, ref.begin()->second);
+    ref.erase(ref.begin());
     if (step < 15000) {
-      // Mostly small increments; sometimes a jump far past the year.
       const double jump =
           rng.uniform() < 0.01 ? rng.uniform() * 1e2 : rng.uniform() * 1e-6;
-      heap.push(a.time + jump, key);
-      cal.push(a.time + jump, key);
+      queue.push(a.time + jump, key);
+      ref.emplace(a.time + jump, key);
       ++key;
     }
   }
-}
-
-TEST(EventQueue, GrowsAndShrinksThroughPopulationSwings) {
-  EventQueue cal(SchedulerKind::kCalendarQueue, 4);
-  std::vector<SimEvent> pushed;
-  Rng rng(11);
-  // Grow to 100k events (many rebuilds), then drain (shrink rebuilds).
-  for (int i = 0; i < 100000; ++i) {
-    const double t = rng.uniform() * 10.0;
-    cal.push(t, static_cast<std::uint64_t>(i));
-    pushed.push_back(SimEvent{t, static_cast<std::uint64_t>(i)});
-  }
-  EXPECT_EQ(cal.size(), pushed.size());
-  expect_sorted_drain(cal, pushed);
-}
-
-TEST(EventQueue, PushBeforeCurrentEpochRewinds) {
-  EventQueue cal(SchedulerKind::kCalendarQueue, 4);
-  cal.push(1.0, 1);
-  EXPECT_EQ(cal.pop().key, 1u);
-  // The scan day is now around t=1.0; an earlier event must still pop
-  // first against a later one.
-  cal.push(2.0, 2);
-  cal.push(0.5, 3);
-  EXPECT_EQ(cal.pop().key, 3u);
-  EXPECT_EQ(cal.pop().key, 2u);
-  EXPECT_TRUE(cal.empty());
-}
-
-TEST(EventQueue, ParsesAndNamesSchedulers) {
-  EXPECT_EQ(parse_scheduler("heap"), SchedulerKind::kBinaryHeap);
-  EXPECT_EQ(parse_scheduler("calendar"), SchedulerKind::kCalendarQueue);
-  EXPECT_EQ(parse_scheduler("calendar-queue"),
-            SchedulerKind::kCalendarQueue);
-  EXPECT_STREQ(scheduler_name(SchedulerKind::kBinaryHeap), "heap");
-  EXPECT_STREQ(scheduler_name(SchedulerKind::kCalendarQueue), "calendar");
-  EXPECT_THROW(parse_scheduler("splay"), std::invalid_argument);
 }
 
 // --- TaskRingPool unit tests ---------------------------------------------
@@ -200,36 +159,125 @@ TEST(TaskRingPool, ExactChunkMultiples) {
   }
 }
 
-// --- Cross-scheduler bitwise determinism ---------------------------------
+// --- Pinned replay digests ----------------------------------------------
 
-void expect_bitwise_equal(const SimResult& a, const SimResult& b,
-                          const std::string& what) {
-  SCOPED_TRACE(what);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.busy, b.busy);
-  EXPECT_EQ(a.tasks_executed, b.tasks_executed);
-  EXPECT_EQ(a.steals, b.steals);
-  EXPECT_EQ(a.steal_attempts, b.steal_attempts);
-  EXPECT_EQ(a.counter_ops, b.counter_ops);
-  EXPECT_EQ(a.counter_wait, b.counter_wait);
-  EXPECT_EQ(a.steal_wait, b.steal_wait);
-  EXPECT_EQ(a.op_retries, b.op_retries);
-  EXPECT_EQ(a.tasks_reexecuted, b.tasks_reexecuted);
-  EXPECT_EQ(a.net_messages, b.net_messages);
-  EXPECT_EQ(a.net_congested, b.net_congested);
-  EXPECT_EQ(a.net_bytes, b.net_bytes);
-  EXPECT_EQ(a.net_link_wait, b.net_link_wait);
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  ASSERT_EQ(a.trace.size(), b.trace.size());
-  for (std::size_t i = 0; i < a.trace.size(); ++i) {
-    EXPECT_EQ(static_cast<int>(a.trace[i].type),
-              static_cast<int>(b.trace[i].type));
-    EXPECT_EQ(a.trace[i].proc, b.trace[i].proc);
-    EXPECT_EQ(a.trace[i].peer, b.trace[i].peer);
-    EXPECT_EQ(a.trace[i].task, b.trace[i].task);
-    EXPECT_EQ(a.trace[i].start, b.trace[i].start);
-    EXPECT_EQ(a.trace[i].end, b.trace[i].end);
+/// FNV-1a over the little-endian bytes of 64-bit words.
+class Fnv1a {
+ public:
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xffu;
+      hash_ *= 1099511628211ull;
+    }
   }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 14695981039346656037ull;
+};
+
+/// Digest of everything a simulation computes: makespan, per-proc busy
+/// and task counts, every counter and wait, the net_* totals, the event
+/// count, and every field of every trace event (doubles by bit pattern).
+std::uint64_t digest(const SimResult& r) {
+  Fnv1a f;
+  f.f64(r.makespan);
+  f.u64(r.busy.size());
+  for (double b : r.busy) f.f64(b);
+  f.u64(r.tasks_executed.size());
+  for (std::int64_t n : r.tasks_executed) f.i64(n);
+  f.i64(r.steals);
+  f.i64(r.steal_attempts);
+  f.i64(r.counter_ops);
+  f.f64(r.counter_wait);
+  f.f64(r.steal_wait);
+  f.i64(r.op_retries);
+  f.i64(r.tasks_reexecuted);
+  f.i64(r.net_messages);
+  f.i64(r.net_congested);
+  f.f64(r.net_bytes);
+  f.f64(r.net_link_wait);
+  f.i64(r.events_processed);
+  f.u64(r.trace.size());
+  for (const TraceEvent& e : r.trace) {
+    f.i64(static_cast<std::int64_t>(e.type));
+    f.i64(e.proc);
+    f.i64(e.peer);
+    f.i64(e.task);
+    f.f64(e.start);
+    f.f64(e.end);
+  }
+  return f.value();
+}
+
+/// Pinned digests, one per (machine, model) cell. crossbar/static,
+/// fat-tree/static and torus/static coincide: the static model sends no
+/// messages, so the fabric cannot change it.
+const std::vector<std::pair<std::string, std::uint64_t>> kPinned = {
+    {"legacy/static", 0x46ef6b0c83d2bac4ull},
+    {"legacy/counter1", 0x66ebaaf5ae469e0dull},
+    {"legacy/counter8", 0x5f5b9b7949515d30ull},
+    {"legacy/guided", 0xf5bc2983e8a3054full},
+    {"legacy/trapezoid", 0x211fe5da88be0639ull},
+    {"legacy/hier", 0x57fde344e4763dfaull},
+    {"legacy/hybrid", 0x43878ee5f536e357ull},
+    {"legacy/ws0", 0x1f46da35670d79c3ull},
+    {"legacy/ws2", 0x06fe604a82bc0134ull},
+    {"legacy/ws1", 0xe8619505af236a1dull},
+    {"faults/static", 0x502790b429608b34ull},
+    {"faults/counter1", 0x3e5fb9b35c804621ull},
+    {"faults/counter8", 0xfa6112eab5005c2bull},
+    {"faults/guided", 0x826f77ee238bb11dull},
+    {"faults/trapezoid", 0xf14bbb2cf0ef9804ull},
+    {"faults/hier", 0xa784f9d0f2f7537bull},
+    {"faults/hybrid", 0xe9746acaafc4396cull},
+    {"faults/ws0", 0xabc3855e68ccc5e3ull},
+    {"faults/ws2", 0x5eedd22a92dd5ad1ull},
+    {"faults/ws1", 0x8f61c72523559120ull},
+    {"crossbar/static", 0x9fc007c0586f354dull},
+    {"crossbar/counter1", 0xe017209efb043fd6ull},
+    {"crossbar/counter8", 0xdcf8979bf0fc1723ull},
+    {"crossbar/guided", 0x83975f905fd10e0eull},
+    {"crossbar/trapezoid", 0xc4dcb494f94dc91bull},
+    {"crossbar/hier", 0xeff12a2bbf16324bull},
+    {"crossbar/hybrid", 0x4575c32e2f10d745ull},
+    {"crossbar/ws0", 0xcac16aaf12e414c7ull},
+    {"crossbar/ws2", 0xd8257281e1abe918ull},
+    {"crossbar/ws1", 0xd5ba15c344a35d0bull},
+    {"fat-tree/static", 0x9fc007c0586f354dull},
+    {"fat-tree/counter1", 0x1fecd07a0eb6c188ull},
+    {"fat-tree/counter8", 0x3e8bbb1f39634b99ull},
+    {"fat-tree/guided", 0x6b75b53b0bed0cb7ull},
+    {"fat-tree/trapezoid", 0x72f563c7b37ca7d1ull},
+    {"fat-tree/hier", 0x7b1b4a28cba80170ull},
+    {"fat-tree/hybrid", 0x19bcf64e2ee744a6ull},
+    {"fat-tree/ws0", 0x90fd9a5b593a2221ull},
+    {"fat-tree/ws2", 0x2a5f3647ee3c4db6ull},
+    {"fat-tree/ws1", 0x18471f19a6ae8fb1ull},
+    {"torus/static", 0x9fc007c0586f354dull},
+    {"torus/counter1", 0x08213e2d48f06543ull},
+    {"torus/counter8", 0xa450fd91093de698ull},
+    {"torus/guided", 0xc5218f522153d819ull},
+    {"torus/trapezoid", 0x87a13e4167505f21ull},
+    {"torus/hier", 0xf060622e5a832779ull},
+    {"torus/hybrid", 0xd81b9eced075bfa5ull},
+    {"torus/ws0", 0xefd3fc5231e4b5d9ull},
+    {"torus/ws2", 0xa8bfec5fc85e5eedull},
+    {"torus/ws1", 0x252015b4dd614d2dull},
+    {"retentive/round0", 0x77e1caa104046ad3ull},
+    {"retentive/round1", 0x9271b84604aef685ull},
+    {"retentive/round2", 0xac66f9f40218796cull},
+};
+
+void expect_pinned(const std::string& cell, const SimResult& r) {
+  const auto it =
+      std::find_if(kPinned.begin(), kPinned.end(),
+                   [&](const auto& pin) { return pin.first == cell; });
+  ASSERT_NE(it, kPinned.end()) << "no pinned digest for " << cell;
+  EXPECT_GT(r.events_processed, 0) << cell;
+  EXPECT_EQ(digest(r), it->second) << cell;
 }
 
 std::vector<double> scheduler_test_costs(std::size_t n,
@@ -238,19 +286,6 @@ std::vector<double> scheduler_test_costs(std::size_t n,
   Rng rng(seed);
   for (double& c : costs) c = rng.uniform(0.2e-6, 8.0e-6);
   return costs;
-}
-
-/// Runs `simulate` under both schedulers on otherwise-identical
-/// machines and asserts bitwise-equal results.
-template <typename F>
-void expect_scheduler_invariant(MachineConfig config, F&& simulate,
-                                const std::string& what) {
-  config.scheduler = SchedulerKind::kBinaryHeap;
-  const SimResult heap = simulate(config);
-  config.scheduler = SchedulerKind::kCalendarQueue;
-  const SimResult cal = simulate(config);
-  EXPECT_GT(heap.events_processed, 0) << what;
-  expect_bitwise_equal(heap, cal, what);
 }
 
 MachineConfig scheduler_test_machine(int procs, bool trace = true) {
@@ -262,57 +297,7 @@ MachineConfig scheduler_test_machine(int procs, bool trace = true) {
   return config;
 }
 
-TEST(SchedulerDeterminism, AllModelsLegacyNetwork) {
-  const auto costs = scheduler_test_costs(700);
-  const MachineConfig config = scheduler_test_machine(48);
-  const lb::Assignment block = lb::block_assignment(costs.size(), 48);
-
-  expect_scheduler_invariant(
-      config,
-      [&](const MachineConfig& m) { return simulate_counter(m, costs, 1); },
-      "counter chunk=1");
-  expect_scheduler_invariant(
-      config,
-      [&](const MachineConfig& m) { return simulate_counter(m, costs, 8); },
-      "counter chunk=8");
-  CounterOptions guided;
-  guided.chunk = 2;
-  guided.policy = ChunkPolicy::kGuided;
-  expect_scheduler_invariant(
-      config,
-      [&](const MachineConfig& m) {
-        return simulate_counter(m, costs, guided);
-      },
-      "counter guided");
-  expect_scheduler_invariant(
-      config,
-      [&](const MachineConfig& m) {
-        return simulate_hierarchical_counter(m, costs, 32, 4);
-      },
-      "hierarchical counter");
-  expect_scheduler_invariant(
-      config,
-      [&](const MachineConfig& m) {
-        return simulate_hybrid(m, costs, block, 0.3, 2);
-      },
-      "hybrid");
-  for (VictimPolicy victim : {VictimPolicy::kUniform, VictimPolicy::kRing,
-                              VictimPolicy::kNodeFirst}) {
-    StealOptions steal;
-    steal.victim = victim;
-    expect_scheduler_invariant(
-        config,
-        [&](const MachineConfig& m) {
-          return simulate_work_stealing(m, costs, block, steal);
-        },
-        "work stealing victim=" +
-            std::to_string(static_cast<int>(victim)));
-  }
-}
-
-TEST(SchedulerDeterminism, FaultModels) {
-  const auto costs = scheduler_test_costs(500);
-  MachineConfig config = scheduler_test_machine(32);
+MachineConfig faulted(MachineConfig config) {
   config.faults.fault_prob = 0.3;
   config.faults.onset_min = 0.0;
   config.faults.onset_max = 20.0e-6;
@@ -321,101 +306,128 @@ TEST(SchedulerDeterminism, FaultModels) {
   config.faults.drop_prob = 0.1;
   config.faults.outage_start = 5.0e-6;
   config.faults.outage_duration = 5.0e-6;
-  const lb::Assignment block = lb::block_assignment(costs.size(), 32);
+  return config;
+}
 
-  expect_scheduler_invariant(
-      config,
-      [&](const MachineConfig& m) { return simulate_counter(m, costs, 2); },
-      "faulted counter");
-  expect_scheduler_invariant(
-      config,
-      [&](const MachineConfig& m) {
-        return simulate_hierarchical_counter(m, costs, 16, 2);
-      },
-      "faulted hierarchical");
-  expect_scheduler_invariant(
-      config,
-      [&](const MachineConfig& m) {
-        return simulate_work_stealing(m, costs, block);
-      },
-      "faulted work stealing");
+/// Slow 2:1 fabric with task payloads, so link occupancy matters. Two
+/// nodes per leaf switch give the 4-node fat-tree two leaves and a
+/// contended trunk.
+MachineConfig contended(MachineConfig config, net::TopologyKind topo) {
+  config.network.topology = topo;
+  config.network.oversubscription = 2;
+  config.network.nodes_per_switch = 2;
+  config.network.link_bandwidth = 1.0e8;
+  config.network.task_payload_bytes = 4096;
+  return config;
+}
+
+/// Runs every execution model on `config` and checks each result against
+/// its pinned digest "<label>/<model>".
+void expect_all_models_pinned(const MachineConfig& config,
+                              const std::vector<double>& costs,
+                              const std::string& label) {
+  const lb::Assignment block =
+      lb::block_assignment(costs.size(), config.n_procs);
+  expect_pinned(label + "/static", simulate_static(config, costs, block));
+  expect_pinned(label + "/counter1", simulate_counter(config, costs, 1));
+  expect_pinned(label + "/counter8", simulate_counter(config, costs, 8));
+  CounterOptions guided;
+  guided.chunk = 2;
+  guided.policy = ChunkPolicy::kGuided;
+  expect_pinned(label + "/guided", simulate_counter(config, costs, guided));
+  CounterOptions trapezoid;
+  trapezoid.chunk = 2;
+  trapezoid.policy = ChunkPolicy::kTrapezoid;
+  expect_pinned(label + "/trapezoid",
+                simulate_counter(config, costs, trapezoid));
+  expect_pinned(label + "/hier",
+                simulate_hierarchical_counter(config, costs, 32, 4));
+  expect_pinned(label + "/hybrid",
+                simulate_hybrid(config, costs, block, 0.3, 2));
+  for (VictimPolicy victim : {VictimPolicy::kUniform, VictimPolicy::kRing,
+                              VictimPolicy::kNodeFirst}) {
+    StealOptions steal;
+    steal.victim = victim;
+    expect_pinned(label + "/ws" + std::to_string(static_cast<int>(victim)),
+                  simulate_work_stealing(config, costs, block, steal));
+  }
+}
+
+TEST(SchedulerDeterminism, AllModelsLegacyNetwork) {
+  expect_all_models_pinned(scheduler_test_machine(48),
+                           scheduler_test_costs(700), "legacy");
+}
+
+TEST(SchedulerDeterminism, FaultModels) {
+  expect_all_models_pinned(faulted(scheduler_test_machine(32)),
+                           scheduler_test_costs(500), "faults");
 }
 
 TEST(SchedulerDeterminism, ContendedTopologies) {
-  const auto costs = scheduler_test_costs(600);
-  const lb::Assignment block = lb::block_assignment(costs.size(), 32);
   for (net::TopologyKind topo :
        {net::TopologyKind::kCrossbar, net::TopologyKind::kFatTree,
         net::TopologyKind::kTorus}) {
-    for (net::CongestionMode mode : {net::CongestionMode::kPerMessage,
-                                     net::CongestionMode::kFlow}) {
-      MachineConfig config = scheduler_test_machine(32);
-      config.network.topology = topo;
-      config.network.congestion = mode;
-      config.network.oversubscription = 2;
-      config.network.link_bandwidth = 1.0e8;  // slow: congestion matters
-      config.network.task_payload_bytes = 4096;
-      const std::string what =
-          std::string(net::topology_name(topo)) + "/" +
-          net::congestion_name(mode);
-      expect_scheduler_invariant(
-          config,
-          [&](const MachineConfig& m) {
-            return simulate_counter(m, costs, 2);
-          },
-          what + " counter");
-      expect_scheduler_invariant(
-          config,
-          [&](const MachineConfig& m) {
-            return simulate_work_stealing(m, costs, block);
-          },
-          what + " work stealing");
-    }
+    expect_all_models_pinned(contended(scheduler_test_machine(32), topo),
+                             scheduler_test_costs(600),
+                             net::topology_name(topo));
   }
 }
 
 TEST(SchedulerDeterminism, MultiRoundModels) {
   const auto costs = scheduler_test_costs(400);
-  MachineConfig config = scheduler_test_machine(24, /*trace=*/false);
-  const lb::Assignment block = lb::block_assignment(costs.size(), 24);
-
-  config.scheduler = SchedulerKind::kBinaryHeap;
-  const auto heap_rounds = simulate_retentive(config, costs, block, 3);
-  config.scheduler = SchedulerKind::kCalendarQueue;
-  const auto cal_rounds = simulate_retentive(config, costs, block, 3);
-  ASSERT_EQ(heap_rounds.size(), cal_rounds.size());
-  for (std::size_t r = 0; r < heap_rounds.size(); ++r) {
-    expect_bitwise_equal(heap_rounds[r], cal_rounds[r],
-                         "retentive round " + std::to_string(r));
+  const MachineConfig config = scheduler_test_machine(24, /*trace=*/false);
+  const auto rounds = simulate_retentive(
+      config, costs, lb::block_assignment(costs.size(), 24), 3);
+  ASSERT_EQ(rounds.size(), 3u);
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    expect_pinned("retentive/round" + std::to_string(r), rounds[r]);
   }
 }
 
-// --- Flow congestion mode ------------------------------------------------
+// --- Counter-family loop -------------------------------------------------
 
-TEST(FlowCongestion, DeterministicAndBounded) {
-  const auto costs = scheduler_test_costs(800);
-  MachineConfig config = scheduler_test_machine(64, /*trace=*/false);
-  config.network.topology = net::TopologyKind::kCrossbar;
-  config.network.congestion = net::CongestionMode::kFlow;
-  config.network.link_bandwidth = 1.0e8;
-  const SimResult a = simulate_counter(config, costs, 1);
-  const SimResult b = simulate_counter(config, costs, 1);
-  expect_bitwise_equal(a, b, "flow replay");
-  EXPECT_TRUE(std::isfinite(a.makespan));
-  EXPECT_GT(a.makespan, 0.0);
-  // The congested fabric must cost something relative to legacy.
-  config.network.topology = net::TopologyKind::kLegacyFlat;
-  const SimResult flat = simulate_counter(config, costs, 1);
-  EXPECT_GE(a.makespan, flat.makespan);
-  EXPECT_GT(a.net_link_wait, 0.0);
+void expect_bitwise_equal(const SimResult& a, const SimResult& b,
+                          const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(a.events_processed, b.events_processed);
+  EXPECT_EQ(digest(a), digest(b));
 }
 
-TEST(FlowCongestion, ParsesAndNamesModes) {
-  EXPECT_EQ(net::parse_congestion("per-message"),
-            net::CongestionMode::kPerMessage);
-  EXPECT_EQ(net::parse_congestion("flow"), net::CongestionMode::kFlow);
-  EXPECT_STREQ(net::congestion_name(net::CongestionMode::kFlow), "flow");
-  EXPECT_THROW(net::parse_congestion("psychic"), std::invalid_argument);
+TEST(CounterFamily, FullyDynamicHybridIsTheCounter) {
+  // With dynamic_fraction = 1 the hybrid has no static prefix, so it is
+  // exactly the fixed-chunk counter model.
+  const auto costs = scheduler_test_costs(500);
+  const lb::Assignment block = lb::block_assignment(costs.size(), 32);
+  const MachineConfig flat = scheduler_test_machine(32);
+  const MachineConfig fat = contended(flat, net::TopologyKind::kFatTree);
+  for (const MachineConfig& base : {flat, fat}) {
+    for (bool faults : {false, true}) {
+      const MachineConfig config = faults ? faulted(base) : base;
+      for (std::int64_t chunk : {1, 2, 8}) {
+        expect_bitwise_equal(
+            simulate_hybrid(config, costs, block, 1.0, chunk),
+            simulate_counter(config, costs, chunk),
+            std::string(net::topology_name(config.network.topology)) +
+                (faults ? " faulted" : "") +
+                " chunk=" + std::to_string(chunk));
+      }
+    }
+  }
+}
+
+TEST(CounterFamily, HybridRejectsChunkBelowOne) {
+  // A zero chunk would grant empty ranges forever; like the counter
+  // model, the hybrid must refuse it up front.
+  MachineConfig config;
+  config.n_procs = 4;
+  const std::vector<double> costs(40, 1.0e-6);
+  const lb::Assignment block = lb::block_assignment(costs.size(), 4);
+  EXPECT_THROW(simulate_hybrid(config, costs, block, 0.5, 0),
+               std::invalid_argument);
+  EXPECT_THROW(simulate_hybrid(config, costs, block, 0.5, -3),
+               std::invalid_argument);
+  EXPECT_THROW(simulate_hybrid(config, costs, block, 0.0, 0),
+               std::invalid_argument);
 }
 
 // --- Degenerate machines (P = 1) -----------------------------------------
@@ -428,22 +440,16 @@ TEST(DegenerateMachines, SingleProcWorkStealingAllPolicies) {
   const lb::Assignment all_zero(costs.size(), 0);
   for (VictimPolicy victim : {VictimPolicy::kUniform, VictimPolicy::kRing,
                               VictimPolicy::kNodeFirst}) {
-    for (SchedulerKind kind :
-         {SchedulerKind::kBinaryHeap, SchedulerKind::kCalendarQueue}) {
-      MachineConfig config;
-      config.n_procs = 1;
-      config.procs_per_node = 1;
-      config.scheduler = kind;
-      StealOptions steal;
-      steal.victim = victim;
-      const SimResult r =
-          simulate_work_stealing(config, costs, all_zero, steal);
-      EXPECT_EQ(r.tasks_executed[0],
-                static_cast<std::int64_t>(costs.size()));
-      EXPECT_EQ(r.steals, 0);
-      EXPECT_EQ(r.steal_attempts, 0);
-      EXPECT_GT(r.makespan, 0.0);
-    }
+    MachineConfig config;
+    config.n_procs = 1;
+    config.procs_per_node = 1;
+    StealOptions steal;
+    steal.victim = victim;
+    const SimResult r = simulate_work_stealing(config, costs, all_zero, steal);
+    EXPECT_EQ(r.tasks_executed[0], static_cast<std::int64_t>(costs.size()));
+    EXPECT_EQ(r.steals, 0);
+    EXPECT_EQ(r.steal_attempts, 0);
+    EXPECT_GT(r.makespan, 0.0);
   }
 }
 
