@@ -18,6 +18,7 @@
 #include "core/task_model.hpp"
 #include "manifest.hpp"
 #include "sim/machine.hpp"
+#include "util/cli.hpp"
 #include "util/json.hpp"
 
 namespace emc::bench {
@@ -37,6 +38,13 @@ inline sim::MachineConfig make_machine(int procs, int ppn = 0) {
   config.procs_per_node =
       ppn > 0 ? std::min(ppn, procs) : std::min(16, procs);
   return config;
+}
+
+/// True when `flag` appears verbatim on the command line. Drivers use it
+/// to load a preset (the --smoke sizes) before emc::Cli parses, so
+/// explicit flags override the preset whatever their order.
+inline bool has_flag(int argc, char** argv, const std::string& flag) {
+  return std::find(argv + 1, argv + argc, flag) != argv + argc;
 }
 
 /// Standard workload for cluster-scale simulations: a 27-molecule water

@@ -380,25 +380,17 @@ int run(const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      opt.smoke = true;
-      opt.molecule = "water";
-      opt.procs = 8;
-    } else if (arg.rfind("--model-procs=", 0) == 0) {
-      opt.procs = std::stoi(arg.substr(14));
-    } else if (arg.rfind("--ppn=", 0) == 0) {
-      opt.ppn = std::stoi(arg.substr(6));
-    } else if (arg.rfind("--molecule=", 0) == 0) {
-      opt.molecule = arg.substr(11);
-    } else if (arg.rfind("--report=", 0) == 0) {
-      opt.report_path = arg.substr(9);
-    } else {
-      std::cerr << "unknown flag " << arg << "\n";
-      return 2;
-    }
+  if (emc::bench::has_flag(argc, argv, "--smoke")) {
+    opt.molecule = "water";
+    opt.procs = 8;
   }
+  emc::Cli cli("bench_faults", "EXP-9b fault-resilience sweep and gate");
+  cli.add_flag("smoke", '\0', "small workload + gates (CI)", &opt.smoke);
+  cli.add_int("model-procs", '\0', "simulated procs", &opt.procs);
+  cli.add_int("ppn", '\0', "procs per node (0 = min(16, procs))", &opt.ppn);
+  cli.add_string("molecule", '\0', "workload molecule", &opt.molecule);
+  cli.add_string("report", '\0', "JSON report path", &opt.report_path);
+  if (!cli.parse(argc, argv)) return 2;
   try {
     return run(opt);
   } catch (const std::exception& e) {

@@ -382,26 +382,20 @@ int run(const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      opt.smoke = true;
-      opt.molecule = "water2";
-    } else if (arg.rfind("--molecule=", 0) == 0) {
-      opt.molecule = arg.substr(11);
-    } else if (arg.rfind("--ranks=", 0) == 0) {
-      opt.only_ranks = std::stoi(arg.substr(8));
-    } else if (arg.rfind("--max-threads=", 0) == 0) {
-      opt.max_threads = std::stoi(arg.substr(14));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = std::stoull(arg.substr(7));
-    } else if (arg.rfind("--report=", 0) == 0) {
-      opt.report_path = arg.substr(9);
-    } else {
-      std::cerr << "unknown flag " << arg << "\n";
-      return 2;
-    }
-  }
+  if (emc::bench::has_flag(argc, argv, "--smoke")) opt.molecule = "water2";
+  auto seed = static_cast<std::int64_t>(opt.seed);
+  emc::Cli cli("bench_hybrid",
+               "hybrid ranks x threads Fock build sweep and gate");
+  cli.add_flag("smoke", '\0', "small workload + gates (CI)", &opt.smoke);
+  cli.add_string("molecule", '\0', "workload molecule", &opt.molecule);
+  cli.add_int("ranks", '\0', "only this rank count (0 = sweep {1, 2})",
+              &opt.only_ranks);
+  cli.add_int("max-threads", '\0', "largest threads per rank",
+              &opt.max_threads);
+  cli.add_int("seed", '\0', "steal victim-selection seed", &seed);
+  cli.add_string("report", '\0', "JSON report path", &opt.report_path);
+  if (!cli.parse(argc, argv)) return 2;
+  opt.seed = static_cast<std::uint64_t>(seed);
   try {
     return run(opt);
   } catch (const std::exception& e) {

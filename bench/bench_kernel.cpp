@@ -479,29 +479,35 @@ int run_calibrate() {
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_kernel.json";
   double min_speedup = 1.2;
-  std::uint64_t seed = 12345;
+  std::int64_t seed = 12345;
   bool smoke = false, calibrate = false;
 
+  // google-benchmark's own --benchmark_* flags pass through to it.
+  std::vector<char*> ours{argv[0]}, theirs{argv[0]};
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--calibrate") {
-      calibrate = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (arg.rfind("--min-speedup=", 0) == 0) {
-      min_speedup = std::stod(arg.substr(14));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::stoull(arg.substr(7));
-    }
+    const bool benchmark_flag =
+        std::string(argv[i]).rfind("--benchmark_", 0) == 0;
+    (benchmark_flag ? theirs : ours).push_back(argv[i]);
   }
+  emc::Cli cli("bench_kernel", "ERI kernel micro-benchmarks and gates");
+  cli.add_flag("smoke", '\0', "seed-vs-cached accuracy + speedup gate",
+               &smoke);
+  cli.add_flag("calibrate", '\0', "re-fit the task-cost model", &calibrate);
+  cli.add_string("json", '\0', "smoke JSON report path", &json_path);
+  cli.add_double("min-speedup", '\0', "smoke speedup floor", &min_speedup);
+  cli.add_int("seed", '\0', "smoke workload seed", &seed);
+  if (!cli.parse(static_cast<int>(ours.size()), ours.data())) return 2;
 
   if (calibrate) return run_calibrate();
-  if (smoke) return run_smoke(json_path, min_speedup, seed);
+  if (smoke) {
+    return run_smoke(json_path, min_speedup, static_cast<std::uint64_t>(seed));
+  }
 
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  int bench_argc = static_cast<int>(theirs.size());
+  benchmark::Initialize(&bench_argc, theirs.data());
+  if (benchmark::ReportUnrecognizedArguments(bench_argc, theirs.data())) {
+    return 1;
+  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

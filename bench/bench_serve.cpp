@@ -655,24 +655,15 @@ int run(const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  bool jobs_set = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      opt.smoke = true;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = std::stoull(arg.substr(7));
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      opt.jobs = std::stoi(arg.substr(7));
-      jobs_set = true;
-    } else if (arg.rfind("--report=", 0) == 0) {
-      opt.report_path = arg.substr(9);
-    } else {
-      std::cerr << "unknown flag " << arg << "\n";
-      return 2;
-    }
-  }
-  if (opt.smoke && !jobs_set) opt.jobs = 30;
+  if (emc::bench::has_flag(argc, argv, "--smoke")) opt.jobs = 30;
+  auto seed = static_cast<std::int64_t>(opt.seed);
+  emc::Cli cli("bench_serve", "EXP-14 Fock/SCF service load sweep and gate");
+  cli.add_flag("smoke", '\0', "small job mix + gates (CI)", &opt.smoke);
+  cli.add_int("seed", '\0', "job-mix seed", &seed);
+  cli.add_int("jobs", '\0', "jobs per load point", &opt.jobs);
+  cli.add_string("report", '\0', "JSON report path", &opt.report_path);
+  if (!cli.parse(argc, argv)) return 2;
+  opt.seed = static_cast<std::uint64_t>(seed);
   try {
     return run(opt);
   } catch (const std::exception& e) {

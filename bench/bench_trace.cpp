@@ -328,38 +328,31 @@ int run(const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      opt.smoke = true;
-      opt.molecule = "water";
-      opt.procs = 8;
-      opt.ranks = 2;
-    } else if (arg == "--measured") {
-      opt.measured = true;
-    } else if (arg.rfind("--model=", 0) == 0) {
-      opt.model = arg.substr(8);
-    } else if (arg.rfind("--molecule=", 0) == 0) {
-      opt.molecule = arg.substr(11);
-    } else if (arg.rfind("--procs=", 0) == 0) {
-      opt.procs = std::stoi(arg.substr(8));
-    } else if (arg.rfind("--ppn=", 0) == 0) {
-      opt.ppn = std::stoi(arg.substr(6));
-    } else if (arg.rfind("--ranks=", 0) == 0) {
-      opt.ranks = std::stoi(arg.substr(8));
-    } else if (arg.rfind("--iterations=", 0) == 0) {
-      opt.iterations = std::stoi(arg.substr(13));
-    } else if (arg.rfind("--chunk=", 0) == 0) {
-      opt.chunk = std::stoll(arg.substr(8));
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      opt.trace_path = arg.substr(8);
-    } else if (arg.rfind("--report=", 0) == 0) {
-      opt.report_path = arg.substr(9);
-    } else {
-      std::cerr << "unknown flag " << arg << "\n";
-      return 2;
-    }
+  if (emc::bench::has_flag(argc, argv, "--smoke")) {
+    opt.molecule = "water";
+    opt.procs = 8;
+    opt.ranks = 2;
   }
+  emc::Cli cli("bench_trace", "typed-trace and metrics driver");
+  cli.add_flag("smoke", '\0', "small workload + export checks (CI)",
+               &opt.smoke);
+  cli.add_flag("measured", '\0',
+               "measure task costs instead of the analytic model",
+               &opt.measured);
+  cli.add_string("model", '\0', "static | counter | hier | hybrid | ws",
+                 &opt.model);
+  cli.add_string("molecule", '\0', "workload molecule", &opt.molecule);
+  cli.add_int("procs", '\0', "simulated procs", &opt.procs);
+  cli.add_int("ppn", '\0', "procs per node (0 = min(16, procs))", &opt.ppn);
+  cli.add_int("ranks", '\0', "PGAS ranks for the real Fock build",
+              &opt.ranks);
+  cli.add_int("iterations", '\0', "retentive rounds; >1 merges round traces",
+              &opt.iterations);
+  cli.add_int("chunk", '\0', "counter chunk", &opt.chunk);
+  cli.add_string("trace", '\0', "Chrome trace output path",
+                 &opt.trace_path);
+  cli.add_string("report", '\0', "JSON report path", &opt.report_path);
+  if (!cli.parse(argc, argv)) return 2;
   try {
     return run(opt);
   } catch (const std::exception& e) {

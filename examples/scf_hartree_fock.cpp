@@ -6,14 +6,11 @@
 //   ./build/examples/scf_hartree_fock --molecule alkane4 --ranks 4
 
 #include <iostream>
-#include <vector>
 
-#include "chem/fock.hpp"
 #include "chem/mp2.hpp"
 #include "chem/scf.hpp"
 #include "chem/uhf.hpp"
-#include "exec/schedulers.hpp"
-#include "lb/simple.hpp"
+#include "core/distributed_fock.hpp"
 #include "pgas/runtime.hpp"
 #include "util/cli.hpp"
 #include "util/timer.hpp"
@@ -93,37 +90,15 @@ int main(int argc, char** argv) {
   if (ranks <= 1) {
     result = chem::run_rhf(mol, basis, options);
   } else {
-    // Parallel Fock build: tasks executed under work stealing, per-rank
-    // J/K accumulators merged per iteration.
-    const chem::FockBuilder builder(basis, options.screen_threshold);
+    // Parallel Fock build: the distributed builder under work stealing,
+    // rank partials accumulated one-sided each iteration.
     pgas::Runtime runtime(static_cast<int>(ranks));
-    const auto tasks = builder.make_tasks();
-    const auto n = static_cast<std::size_t>(basis.function_count());
-
-    result = chem::run_rhf_with_builder(
-        mol, basis,
-        [&](const linalg::Matrix& density) {
-          std::vector<linalg::Matrix> j(static_cast<std::size_t>(ranks),
-                                        linalg::Matrix(n, n));
-          std::vector<linalg::Matrix> k(static_cast<std::size_t>(ranks),
-                                        linalg::Matrix(n, n));
-          exec::run_work_stealing(
-              runtime, static_cast<std::int64_t>(tasks.size()),
-              lb::block_assignment(tasks.size(), static_cast<int>(ranks)),
-              [&](std::int64_t t, int rank) {
-                builder.execute_task(tasks[static_cast<std::size_t>(t)],
-                                     density,
-                                     j[static_cast<std::size_t>(rank)],
-                                     k[static_cast<std::size_t>(rank)]);
-              });
-          linalg::Matrix jt(n, n), kt(n, n);
-          for (std::int64_t r = 0; r < ranks; ++r) {
-            jt += j[static_cast<std::size_t>(r)];
-            kt += k[static_cast<std::size_t>(r)];
-          }
-          return chem::FockBuilder::combine_jk(jt, kt);
-        },
-        options);
+    core::DistributedFockOptions fock_options;
+    fock_options.model = core::ExecModel::kWorkStealing;
+    fock_options.screen_threshold = options.screen_threshold;
+    core::DistributedFockBuilder builder(basis, runtime, fock_options);
+    result = chem::run_rhf_with_builder(mol, basis, builder.as_g_builder(),
+                                        options);
   }
   const double seconds = timer.seconds();
 

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "exec/tree_reduction.hpp"
-#include "exec/ws_deque.hpp"
 #include "lb/simple.hpp"
 #include "util/profiler.hpp"
 #include "util/rng.hpp"
@@ -32,16 +31,13 @@ bool task_attempt_lost(const DistributedFockOptions::TaskFaultOptions& tf,
   return u < tf.fail_prob;
 }
 
-/// Decorrelated per-executor victim-selection seed.
-std::uint64_t executor_seed(std::uint64_t base, int rank, int tid,
-                            int threads) {
-  std::uint64_t s = base ^
-                    (static_cast<std::uint64_t>(rank) *
-                         static_cast<std::uint64_t>(threads) +
-                     static_cast<std::uint64_t>(tid) + 1) *
-                        0x9e3779b97f4a7c15ULL;
-  return splitmix64(s);
-}
+/// Upper bound on reduction slots per build. The task list is cut into
+/// at most this many contiguous cost-balanced ranges — the unit of
+/// scheduling AND of the deterministic tree reduction. The cut depends
+/// only on the task list and this value, never on ranks/threads/policy:
+/// that is the determinism anchor. More slots = finer dynamic balancing
+/// but more buffer traffic; 64 is plenty for the paper's task counts.
+constexpr std::int64_t kMaxSlots = 64;
 
 }  // namespace
 
@@ -91,15 +87,13 @@ DistributedFockBuilder::DistributedFockBuilder(
     const chem::BasisSet& basis, pgas::Runtime& runtime,
     DistributedFockOptions options)
     : basis_(&basis), runtime_(&runtime), options_(std::move(options)),
-      fock_(basis, options_.screen_threshold), tasks_(fock_.make_tasks()) {
-  if (options_.threads < 1) {
-    throw std::invalid_argument("DistributedFockBuilder: threads must be >= 1");
-  }
+      fock_(basis, options_.screen_threshold), tasks_(fock_.make_tasks()),
+      schedule_{options_.model, options_.intra_policy, options_.counter_chunk,
+                options_.intra_chunk, options_.steal},
+      scheduler_(runtime, options_.threads) {
+  schedule_.validate();
   make_slots();
-  pools_.reserve(static_cast<std::size_t>(runtime_->size()));
-  for (int r = 0; r < runtime_->size(); ++r) {
-    pools_.push_back(std::make_unique<exec::ThreadPool>(options_.threads));
-  }
+  slot_home_ = slot_assignment();
   buffer_pool_.set_shape(static_cast<std::size_t>(basis_->function_count()));
   // Screening totals are Schwarz-only (density-independent): a property
   // of the basis + threshold, both fixed here, so tally once and add
@@ -117,8 +111,7 @@ void DistributedFockBuilder::make_slots() {
   slots_.clear();
   slot_costs_.clear();
   if (n_tasks == 0) return;
-  const std::int64_t max_slots = std::max<std::int64_t>(1, options_.intra_slots);
-  const std::int64_t n_slots = std::min(max_slots, n_tasks);
+  const std::int64_t n_slots = std::min(kMaxSlots, n_tasks);
   std::vector<double> costs(static_cast<std::size_t>(n_tasks));
   double total = 0.0;
   for (std::int64_t t = 0; t < n_tasks; ++t) {
@@ -127,7 +120,7 @@ void DistributedFockBuilder::make_slots() {
     total += costs[static_cast<std::size_t>(t)];
   }
   // Greedy cost-balanced cut into exactly n_slots contiguous non-empty
-  // ranges. Depends only on the task list and intra_slots — never on
+  // ranges. Depends only on the task list and kMaxSlots — never on
   // ranks, threads, or policy — so the reduction-tree leaf set is a
   // fixed function of the problem (the bitwise-determinism anchor).
   slots_.reserve(static_cast<std::size_t>(n_slots));
@@ -205,15 +198,11 @@ lb::Assignment DistributedFockBuilder::slot_assignment() const {
 }
 
 exec::ExecutionStats DistributedFockBuilder::run_hybrid(
-    const lb::Assignment& slot_assign,
     const std::vector<linalg::Matrix>& density,
     std::vector<JkBuffer*>& rank_roots,
     std::atomic<std::int64_t>& reexecs) {
   const int ranks = runtime_->size();
-  const int threads = options_.threads;
   const auto n_slots = static_cast<std::int64_t>(slots_.size());
-  exec::ExecutionStats stats;
-  stats.ranks.assign(static_cast<std::size_t>(ranks), exec::RankStats{});
   rank_roots.assign(static_cast<std::size_t>(ranks), nullptr);
 
   // Per-rank reduction trees over the FULL slot index space. Leaves a
@@ -232,17 +221,7 @@ exec::ExecutionStats DistributedFockBuilder::run_hybrid(
         n_slots, merge, recycle));
   }
 
-  // Ascending slot lists per rank (static model and stealing seed).
-  std::vector<std::vector<std::int64_t>> rank_slots(
-      static_cast<std::size_t>(ranks));
-  for (std::int64_t s = 0; s < n_slots; ++s) {
-    rank_slots[static_cast<std::size_t>(
-                   slot_assign[static_cast<std::size_t>(s)])]
-        .push_back(s);
-  }
-
   const DistributedFockOptions::TaskFaultOptions& tf = options_.task_faults;
-  std::atomic<bool> aborted{false};
 
   // Executes one slot serially in ascending task order into a pooled
   // zeroed buffer, then delivers the partial to the rank's tree.
@@ -276,272 +255,16 @@ exec::ExecutionStats DistributedFockBuilder::run_hybrid(
     trees[static_cast<std::size_t>(rank)]->complete(s, buffer);
   };
 
-  // Shared state for the global (inter-rank) dynamic models.
-  pgas::GlobalCounter global_counter(0);
-  if (options_.model == ExecModel::kCounter &&
-      runtime_->metrics() != nullptr) {
-    global_counter.attach_metrics(*runtime_->metrics(), ranks);
-  }
-  std::vector<std::unique_ptr<exec::WsDeque>> global_deques;
-  std::atomic<std::int64_t> remaining_global{n_slots};
-  if (options_.model == ExecModel::kWorkStealing) {
-    // One deque per executor (rank, thread); capacity n_slots so
-    // steal-half migrations can never overflow anyone.
-    global_deques.resize(static_cast<std::size_t>(ranks) *
-                         static_cast<std::size_t>(threads));
-    for (auto& d : global_deques) {
-      d = std::make_unique<exec::WsDeque>(
-          static_cast<std::size_t>(std::max<std::int64_t>(1, n_slots)));
-    }
-    // Seed each rank's slots cyclically over its threads, pushed in
-    // descending order so owner pops proceed in ascending slot order.
-    for (int r = 0; r < ranks; ++r) {
-      const auto& mine = rank_slots[static_cast<std::size_t>(r)];
-      for (std::size_t i = mine.size(); i-- > 0;) {
-        global_deques[static_cast<std::size_t>(r) *
-                          static_cast<std::size_t>(threads) +
-                      i % static_cast<std::size_t>(threads)]
-            ->push(mine[i]);
-      }
-    }
-  }
-
-  emc::Timer wall;
-  runtime_->run([&](pgas::Context& ctx) {
-    const int rank = ctx.rank();
+  // Runs on each rank's thread once its executors drain: slots the rank
+  // never executed are empty leaves; with them closed the tree
+  // collapses to this rank's partial.
+  const auto finalize_rank = [&](int rank) {
     const auto ru = static_cast<std::size_t>(rank);
-    std::vector<exec::RankStats> tstats(static_cast<std::size_t>(threads));
-    exec::ThreadPool& pool = *pools_[ru];
-
-    switch (options_.model) {
-      case ExecModel::kStatic: {
-        const std::vector<std::int64_t>& mine = rank_slots[ru];
-        switch (options_.intra_policy) {
-          case IntraPolicy::kStatic: {
-            // Cyclic static slices of the rank's slot list.
-            pool.run([&](int tid) {
-              try {
-                auto& ts = tstats[static_cast<std::size_t>(tid)];
-                for (std::size_t i = static_cast<std::size_t>(tid);
-                     i < mine.size();
-                     i += static_cast<std::size_t>(threads)) {
-                  if (aborted.load(std::memory_order_relaxed)) break;
-                  execute_slot(mine[i], rank, ts);
-                }
-              } catch (...) {
-                aborted.store(true, std::memory_order_relaxed);
-                throw;
-              }
-            });
-            break;
-          }
-          case IntraPolicy::kCounter: {
-            // Rank-local nxtval over the rank's slot list. Intra-node
-            // fetch_add is priced free — it is a real atomic, not a
-            // network round trip.
-            pgas::GlobalCounter next(0);
-            const pgas::CommCostModel free_cost{};
-            const std::int64_t chunk =
-                std::max<std::int64_t>(1, options_.intra_chunk);
-            const auto count = static_cast<std::int64_t>(mine.size());
-            pool.run([&](int tid) {
-              try {
-                auto& ts = tstats[static_cast<std::size_t>(tid)];
-                while (!aborted.load(std::memory_order_relaxed)) {
-                  const std::int64_t i = next.fetch_add(chunk, free_cost, rank);
-                  ++ts.counter_ops;
-                  if (i >= count) break;
-                  const std::int64_t end = std::min(i + chunk, count);
-                  for (std::int64_t s = i;
-                       s < end && !aborted.load(std::memory_order_relaxed);
-                       ++s) {
-                    execute_slot(mine[static_cast<std::size_t>(s)], rank, ts);
-                  }
-                }
-              } catch (...) {
-                aborted.store(true, std::memory_order_relaxed);
-                throw;
-              }
-            });
-            break;
-          }
-          case IntraPolicy::kWorkStealing: {
-            // Per-thread Chase–Lev deques, victims within the rank.
-            std::vector<std::unique_ptr<exec::WsDeque>> deques(
-                static_cast<std::size_t>(threads));
-            for (auto& d : deques) {
-              d = std::make_unique<exec::WsDeque>(
-                  std::max<std::size_t>(1, mine.size()));
-            }
-            for (std::size_t i = mine.size(); i-- > 0;) {
-              deques[i % static_cast<std::size_t>(threads)]->push(mine[i]);
-            }
-            std::atomic<std::int64_t> remaining{
-                static_cast<std::int64_t>(mine.size())};
-            pool.run([&](int tid) {
-              try {
-                auto& ts = tstats[static_cast<std::size_t>(tid)];
-                exec::WsDeque& my_deque =
-                    *deques[static_cast<std::size_t>(tid)];
-                emc::Rng rng(executor_seed(options_.steal.seed, rank, tid,
-                                           threads));
-                while (remaining.load(std::memory_order_relaxed) > 0 &&
-                       !aborted.load(std::memory_order_relaxed)) {
-                  if (auto s = my_deque.pop()) {
-                    execute_slot(*s, rank, ts);
-                    remaining.fetch_sub(1, std::memory_order_relaxed);
-                    continue;
-                  }
-                  if (threads == 1) continue;
-                  auto victim = static_cast<int>(rng.below(
-                      static_cast<std::uint64_t>(threads - 1)));
-                  if (victim >= tid) ++victim;
-                  ++ts.steal_attempts;
-                  exec::WsDeque& vd =
-                      *deques[static_cast<std::size_t>(victim)];
-                  if (auto s = vd.steal()) {
-                    ++ts.steals;
-                    if (options_.steal.steal_half) {
-                      std::int64_t extra = vd.size_estimate() / 2;
-                      while (extra-- > 0) {
-                        if (auto more = vd.steal()) {
-                          my_deque.push(*more);
-                        } else {
-                          break;
-                        }
-                      }
-                    }
-                    execute_slot(*s, rank, ts);
-                    remaining.fetch_sub(1, std::memory_order_relaxed);
-                  }
-                }
-              } catch (...) {
-                aborted.store(true, std::memory_order_relaxed);
-                throw;
-              }
-            });
-            break;
-          }
-        }
-        break;
-      }
-      case ExecModel::kCounter: {
-        // Global self-scheduling: EVERY executor thread of every rank
-        // hits the shared nxtval — the intra policy degenerates into
-        // the inter one, which is exactly how GA codes oversubscribe
-        // the counter in hybrid runs (R·T contenders per grab).
-        const std::int64_t chunk =
-            std::max<std::int64_t>(1, options_.counter_chunk);
-        pool.run([&](int tid) {
-          try {
-            auto& ts = tstats[static_cast<std::size_t>(tid)];
-            while (!aborted.load(std::memory_order_relaxed)) {
-              const std::int64_t s0 =
-                  global_counter.fetch_add(chunk, ctx.cost_model(), rank);
-              ++ts.counter_ops;
-              if (s0 >= n_slots) break;
-              const std::int64_t end = std::min(s0 + chunk, n_slots);
-              for (std::int64_t s = s0;
-                   s < end && !aborted.load(std::memory_order_relaxed);
-                   ++s) {
-                execute_slot(s, rank, ts);
-              }
-            }
-          } catch (...) {
-            aborted.store(true, std::memory_order_relaxed);
-            throw;
-          }
-        });
-        break;
-      }
-      case ExecModel::kWorkStealing: {
-        // Two-level stealing over ranks × threads deques: co-threads
-        // first (free), remote ranks second (pays the injected remote
-        // latency), mirroring hierarchical victim selection.
-        const int n_exec = ranks * threads;
-        pool.run([&](int tid) {
-          try {
-            auto& ts = tstats[static_cast<std::size_t>(tid)];
-            const auto g = ru * static_cast<std::size_t>(threads) +
-                           static_cast<std::size_t>(tid);
-            exec::WsDeque& my_deque = *global_deques[g];
-            emc::Rng rng(
-                executor_seed(options_.steal.seed, rank, tid, threads));
-            const auto steal_from = [&](exec::WsDeque& vd) -> bool {
-              ++ts.steal_attempts;
-              if (auto s = vd.steal()) {
-                ++ts.steals;
-                if (options_.steal.steal_half) {
-                  std::int64_t extra = vd.size_estimate() / 2;
-                  while (extra-- > 0) {
-                    if (auto more = vd.steal()) {
-                      my_deque.push(*more);
-                    } else {
-                      break;
-                    }
-                  }
-                }
-                execute_slot(*s, rank, ts);
-                remaining_global.fetch_sub(1, std::memory_order_relaxed);
-                return true;
-              }
-              return false;
-            };
-            while (remaining_global.load(std::memory_order_relaxed) > 0 &&
-                   !aborted.load(std::memory_order_relaxed)) {
-              if (auto s = my_deque.pop()) {
-                execute_slot(*s, rank, ts);
-                remaining_global.fetch_sub(1, std::memory_order_relaxed);
-                continue;
-              }
-              if (n_exec == 1) continue;
-              if (threads > 1) {
-                auto vt = static_cast<int>(rng.below(
-                    static_cast<std::uint64_t>(threads - 1)));
-                if (vt >= tid) ++vt;
-                if (steal_from(*global_deques[ru * static_cast<std::size_t>(
-                                                       threads) +
-                                              static_cast<std::size_t>(vt)])) {
-                  continue;
-                }
-              }
-              if (ranks > 1) {
-                const auto pick = static_cast<std::int64_t>(rng.below(
-                    static_cast<std::uint64_t>((ranks - 1) * threads)));
-                auto vr = static_cast<int>(pick / threads);
-                if (vr >= rank) ++vr;
-                const auto vt = static_cast<std::size_t>(pick % threads);
-                pgas::inject_delay(ctx.cost_model().remote_ns);
-                steal_from(*global_deques[static_cast<std::size_t>(vr) *
-                                              static_cast<std::size_t>(
-                                                  threads) +
-                                          vt]);
-              }
-            }
-          } catch (...) {
-            aborted.store(true, std::memory_order_relaxed);
-            throw;
-          }
-        });
-        break;
-      }
-    }
-
-    exec::RankStats& mine = stats.ranks[ru];
-    for (const exec::RankStats& ts : tstats) {
-      mine.tasks_executed += ts.tasks_executed;
-      mine.busy_seconds += ts.busy_seconds;
-      mine.steal_attempts += ts.steal_attempts;
-      mine.steals += ts.steals;
-      mine.counter_ops += ts.counter_ops;
-    }
-    // Slots this rank never executed are empty leaves; with them closed
-    // the tree collapses to this rank's partial.
     trees[ru]->complete_missing();
     rank_roots[ru] = trees[ru]->take_root();
-  });
-  stats.wall_seconds = wall.seconds();
-  return stats;
+  };
+
+  return scheduler_.run(schedule_, slot_home_, execute_slot, finalize_rank);
 }
 
 linalg::Matrix DistributedFockBuilder::build_g(
@@ -565,8 +288,6 @@ linalg::Matrix DistributedFockBuilder::build_g(
   density_ga.put(0, 0, 0, n, n,
                  std::span<const double>(density.data(), n * n),
                  pgas::CommCostModel{});
-
-  const lb::Assignment slot_assign = slot_assignment();
 
   // Per-rank density replicas (the one full-replica set the GA pattern
   // genuinely needs). J/K no longer get 2·ranks·n² replicas of their
@@ -596,7 +317,7 @@ linalg::Matrix DistributedFockBuilder::build_g(
   phase.reset();
   {
     EMC_PROF_SPAN("fock/phase_execute");
-    last_stats_ = run_hybrid(slot_assign, local_density, rank_roots, reexecs);
+    last_stats_ = run_hybrid(local_density, rank_roots, reexecs);
   }
   if (metrics_.phase_execute != nullptr) {
     metrics_.phase_execute->add(phase.seconds());

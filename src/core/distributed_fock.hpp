@@ -6,11 +6,10 @@
 // scheduled under a configurable execution model, and each rank's J/K
 // contributions are merged back with one-sided atomic Accumulate.
 //
-// Execution is hierarchical — ranks × threads. Each rank owns a
-// persistent exec::ThreadPool; within a rank the task loop is scheduled
-// by an intra-rank policy mirroring the paper's execution models
-// (static slices, shared-counter chunks, Chase–Lev stealing between
-// threads). Threads accumulate into pooled J/K buffers, one per
+// Execution is hierarchical — ranks × threads, scheduled by one
+// exec::SlotScheduler call per build (one persistent thread pool per
+// rank; the same static / counter / work-stealing policies at both
+// levels). Threads accumulate into pooled J/K buffers, one per
 // reduction SLOT (a fixed contiguous cost-balanced range of the task
 // list), and the slot partials fold through a fixed-shape pairwise tree
 // (exec::TreeReduction) — so for any deterministic task→rank
@@ -32,35 +31,26 @@
 #include "chem/fock.hpp"
 #include "chem/scf.hpp"
 #include "exec/schedulers.hpp"
-#include "exec/thread_pool.hpp"
 #include "lb/partition.hpp"
 #include "pgas/global_array.hpp"
 #include "pgas/runtime.hpp"
 
 namespace emc::core {
 
-enum class ExecModel {
-  kStatic,        ///< fixed assignment (see DistributedFockOptions)
-  kCounter,       ///< GA-nxtval chunked self-scheduling
-  kWorkStealing,  ///< Chase-Lev deques, random victims
-};
-
-/// Intra-rank scheduling of a rank's reduction slots across its pool
-/// threads. Mirrors ExecModel one level down; by the tree-reduction
-/// construction the RESULT is policy-independent — only wall clock and
+/// Inter-rank execution model and intra-rank thread policy. Both levels
+/// share exec::Policy; the intra policy only matters under the static
+/// model (see exec::SlotSchedule). By the tree-reduction construction
+/// the intra policy never changes the RESULT — only wall clock and
 /// steal/counter traffic differ.
-enum class IntraPolicy {
-  kStatic,        ///< cyclic static slices of the rank's slot list
-  kCounter,       ///< rank-local nxtval chunks (atomic fetch_add)
-  kWorkStealing,  ///< per-thread Chase-Lev deques, intra-rank victims
-};
+using ExecModel = exec::Policy;
+using IntraPolicy = exec::Policy;
 
 struct DistributedFockOptions {
   ExecModel model = ExecModel::kWorkStealing;
   /// Balancer for the static model / work-stealing seed: "block",
-  /// "cyclic", or "lpt". Operates on reduction slots (see intra_slots).
+  /// "cyclic", or "lpt". Operates on reduction slots.
   std::string static_balancer = "block";
-  /// Slots per global-nxtval grab under ExecModel::kCounter.
+  /// Slots per global-nxtval grab under ExecModel::kCounter (>= 1).
   std::int64_t counter_chunk = 4;
   exec::WorkStealingOptions steal;
   double screen_threshold = 1e-10;
@@ -72,16 +62,7 @@ struct DistributedFockOptions {
   int threads = 1;
   /// How a rank's pool threads divide its reduction slots.
   IntraPolicy intra_policy = IntraPolicy::kStatic;
-  /// Upper bound on reduction slots per build. The task list is cut
-  /// into at most this many contiguous cost-balanced ranges — the unit
-  /// of intra-rank scheduling AND of the deterministic tree reduction.
-  /// The cut depends only on the task list and this value, never on
-  /// ranks/threads/policy: that is the determinism anchor, so keep it
-  /// fixed when comparing runs bitwise. More slots = finer dynamic
-  /// balancing but more buffer traffic; 64 is plenty for the paper's
-  /// task counts.
-  std::int64_t intra_slots = 64;
-  /// Slots per rank-local counter grab under IntraPolicy::kCounter.
+  /// Slots per rank-local counter grab under IntraPolicy::kCounter (>= 1).
   std::int64_t intra_chunk = 1;
 
   /// Fault injection for task execution. Each (task, attempt) pair is
@@ -150,6 +131,8 @@ class JkBufferPool {
 /// run is the intended pattern.
 class DistributedFockBuilder {
  public:
+  /// Throws std::invalid_argument for threads < 1, a chunk < 1, or an
+  /// unknown static_balancer.
   DistributedFockBuilder(const chem::BasisSet& basis,
                          pgas::Runtime& runtime,
                          DistributedFockOptions options = {});
@@ -181,8 +164,7 @@ class DistributedFockBuilder {
  private:
   void make_slots();
   lb::Assignment slot_assignment() const;
-  exec::ExecutionStats run_hybrid(const lb::Assignment& slot_assign,
-                                  const std::vector<linalg::Matrix>& density,
+  exec::ExecutionStats run_hybrid(const std::vector<linalg::Matrix>& density,
                                   std::vector<JkBuffer*>& rank_roots,
                                   std::atomic<std::int64_t>& reexecs);
   void attach_metrics();
@@ -211,8 +193,11 @@ class DistributedFockBuilder {
   /// range, slot_costs_[s] = summed cost estimate (for the balancer).
   std::vector<std::pair<std::int64_t, std::int64_t>> slots_;
   std::vector<double> slot_costs_;
-  /// One persistent pool per rank (reused across SCF iterations).
-  std::vector<std::unique_ptr<exec::ThreadPool>> pools_;
+  /// Home rank of each slot (static placement and stealing seed).
+  lb::Assignment slot_home_;
+  exec::SlotSchedule schedule_;
+  /// Per-rank thread pools, reused across SCF iterations.
+  exec::SlotScheduler scheduler_;
   JkBufferPool buffer_pool_;
   exec::ExecutionStats last_stats_;
   int builds_ = 0;

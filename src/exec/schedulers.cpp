@@ -1,7 +1,7 @@
 #include "exec/schedulers.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <memory>
 #include <stdexcept>
 
 #include "exec/ws_deque.hpp"
@@ -29,200 +29,222 @@ double ExecutionStats::utilization() const {
   return busy / (wall_seconds * static_cast<double>(ranks.size()));
 }
 
+void SlotSchedule::validate() const {
+  if (counter_chunk < 1) {
+    throw std::invalid_argument("SlotSchedule: counter_chunk < 1");
+  }
+  if (intra_chunk < 1) {
+    throw std::invalid_argument("SlotSchedule: intra_chunk < 1");
+  }
+}
+
 namespace {
 
-void check_task_count(std::int64_t n_tasks) {
-  if (n_tasks < 0) throw std::invalid_argument("scheduler: n_tasks < 0");
+/// Decorrelated per-executor victim-selection seed.
+std::uint64_t executor_seed(std::uint64_t base, int rank, int tid,
+                            int threads) {
+  std::uint64_t s = base ^
+                    (static_cast<std::uint64_t>(rank) *
+                         static_cast<std::uint64_t>(threads) +
+                     static_cast<std::uint64_t>(tid) + 1) *
+                        0x9e3779b97f4a7c15ULL;
+  return splitmix64(s);
 }
 
 }  // namespace
 
-ExecutionStats run_static(pgas::Runtime& runtime, std::int64_t n_tasks,
-                          const lb::Assignment& assignment,
-                          const TaskBody& body) {
-  check_task_count(n_tasks);
-  if (static_cast<std::int64_t>(assignment.size()) != n_tasks) {
-    throw std::invalid_argument("run_static: assignment size mismatch");
+SlotScheduler::SlotScheduler(pgas::Runtime& runtime, int threads)
+    : runtime_(&runtime), threads_(threads) {
+  if (threads < 1) {
+    throw std::invalid_argument("SlotScheduler: threads must be >= 1");
   }
-  lb::validate_assignment(assignment, runtime.size());
-
-  ExecutionStats stats;
-  stats.ranks.resize(static_cast<std::size_t>(runtime.size()));
-  emc::Timer wall;
-
-  runtime.run([&](pgas::Context& ctx) {
-    RankStats& mine = stats.ranks[static_cast<std::size_t>(ctx.rank())];
-    emc::Timer busy;
-    for (std::int64_t t = 0; t < n_tasks; ++t) {
-      if (assignment[static_cast<std::size_t>(t)] != ctx.rank()) continue;
-      busy.reset();
-      body(t, ctx.rank());
-      mine.busy_seconds += busy.seconds();
-      ++mine.tasks_executed;
-    }
-  });
-
-  stats.wall_seconds = wall.seconds();
-  return stats;
+  pools_.reserve(static_cast<std::size_t>(runtime.size()));
+  for (int r = 0; r < runtime.size(); ++r) {
+    pools_.push_back(std::make_unique<ThreadPool>(threads));
+  }
 }
 
-ExecutionStats run_counter(pgas::Runtime& runtime, std::int64_t n_tasks,
-                           std::int64_t chunk, const TaskBody& body) {
-  check_task_count(n_tasks);
-  if (chunk < 1) throw std::invalid_argument("run_counter: chunk < 1");
+ExecutionStats SlotScheduler::run(const SlotSchedule& schedule,
+                                  const lb::Assignment& home,
+                                  const SlotBody& body,
+                                  const std::function<void(int)>& rank_done) {
+  schedule.validate();
+  const int ranks = runtime_->size();
+  lb::validate_assignment(home, ranks);
+  const int threads = threads_;
+  const auto n_slots = static_cast<std::int64_t>(home.size());
+  // Static inter scheduling keeps slots on their home rank and hands
+  // them to the intra policy; the dynamic inter policies span all
+  // executors of all ranks.
+  const bool global = schedule.inter != Policy::kStatic;
+  const Policy policy = global ? schedule.inter : schedule.intra;
 
-  ExecutionStats stats;
-  stats.ranks.resize(static_cast<std::size_t>(runtime.size()));
-  pgas::GlobalCounter counter(0);
-  if (runtime.metrics() != nullptr) {
-    counter.attach_metrics(*runtime.metrics(), runtime.size());
-  }
-  std::atomic<bool> aborted{false};
-  emc::Timer wall;
-
-  runtime.run([&](pgas::Context& ctx) {
-    RankStats& mine = stats.ranks[static_cast<std::size_t>(ctx.rank())];
-    emc::Timer busy;
-    while (!aborted.load(std::memory_order_relaxed)) {
-      const std::int64_t first =
-          counter.fetch_add(chunk, ctx.cost_model(), ctx.rank());
-      ++mine.counter_ops;
-      if (first >= n_tasks) break;
-      const std::int64_t last = std::min(first + chunk, n_tasks);
-      for (std::int64_t t = first; t < last; ++t) {
-        busy.reset();
-        try {
-          body(t, ctx.rank());
-        } catch (...) {
-          // Unblock the other ranks before propagating.
-          aborted.store(true, std::memory_order_relaxed);
-          throw;
-        }
-        mine.busy_seconds += busy.seconds();
-        ++mine.tasks_executed;
-      }
-    }
-  });
-
-  stats.wall_seconds = wall.seconds();
-  return stats;
-}
-
-ExecutionStats run_work_stealing(pgas::Runtime& runtime,
-                                 std::int64_t n_tasks,
-                                 const lb::Assignment& initial,
-                                 const TaskBody& body,
-                                 const WorkStealingOptions& options,
-                                 std::vector<int>* executed_by) {
-  check_task_count(n_tasks);
-  if (static_cast<std::int64_t>(initial.size()) != n_tasks) {
-    throw std::invalid_argument("run_work_stealing: assignment mismatch");
-  }
-  const int n_ranks = runtime.size();
-  lb::validate_assignment(initial, n_ranks);
-
-  ExecutionStats stats;
-  stats.ranks.resize(static_cast<std::size_t>(n_ranks));
-  if (executed_by != nullptr) {
-    executed_by->assign(static_cast<std::size_t>(n_tasks), -1);
+  // Ascending home-slot lists per rank.
+  std::vector<std::vector<std::int64_t>> rank_slots(
+      static_cast<std::size_t>(ranks));
+  for (std::int64_t s = 0; s < n_slots; ++s) {
+    rank_slots[static_cast<std::size_t>(home[static_cast<std::size_t>(s)])]
+        .push_back(s);
   }
 
-  // One deque per rank, each able to hold every task (steals can migrate
-  // arbitrarily many tasks to one rank).
+  // Counter source over all slots: GA-nxtval, priced by the cost model.
+  pgas::GlobalCounter global_counter(0);
+  if (policy == Policy::kCounter && global && runtime_->metrics() != nullptr) {
+    global_counter.attach_metrics(*runtime_->metrics(), ranks);
+  }
+
+  // Stealing source: one deque per executor, capacity n_slots so
+  // steal-half migrations never overflow. Each rank's home slots are
+  // dealt cyclically over its threads, pushed in descending order so
+  // owner pops run them in ascending slot order. `remaining` counts
+  // unexecuted slots per rank, or in slot 0 for all ranks when they
+  // steal from each other.
   std::vector<std::unique_ptr<WsDeque>> deques;
-  deques.reserve(static_cast<std::size_t>(n_ranks));
-  for (int r = 0; r < n_ranks; ++r) {
-    deques.push_back(std::make_unique<WsDeque>(
-        static_cast<std::size_t>(std::max<std::int64_t>(n_tasks, 1))));
-  }
-  std::atomic<std::int64_t> remaining(n_tasks);
-  std::atomic<bool> aborted{false};
-  emc::Timer wall;
-
-  runtime.run([&](pgas::Context& ctx) {
-    const int rank = ctx.rank();
-    RankStats& mine = stats.ranks[static_cast<std::size_t>(rank)];
-    WsDeque& my_deque = *deques[static_cast<std::size_t>(rank)];
-    emc::Rng rng(options.seed ^
-                 (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(rank + 1)));
-
-    // Seed the deque with this rank's initial tasks (reverse order so
-    // pop() executes them in ascending index order).
-    for (std::int64_t t = n_tasks - 1; t >= 0; --t) {
-      if (initial[static_cast<std::size_t>(t)] == rank) my_deque.push(t);
+  std::vector<std::atomic<std::int64_t>> remaining(
+      static_cast<std::size_t>(ranks));
+  if (policy == Policy::kWorkStealing) {
+    deques.resize(static_cast<std::size_t>(ranks) *
+                  static_cast<std::size_t>(threads));
+    for (auto& d : deques) {
+      d = std::make_unique<WsDeque>(
+          static_cast<std::size_t>(std::max<std::int64_t>(1, n_slots)));
     }
-    ctx.barrier();
+    for (int r = 0; r < ranks; ++r) {
+      const auto& mine = rank_slots[static_cast<std::size_t>(r)];
+      for (std::size_t i = mine.size(); i-- > 0;) {
+        deques[static_cast<std::size_t>(r) *
+                   static_cast<std::size_t>(threads) +
+               i % static_cast<std::size_t>(threads)]
+            ->push(mine[i]);
+      }
+      remaining[global ? 0 : static_cast<std::size_t>(r)] +=
+          static_cast<std::int64_t>(mine.size());
+    }
+  }
 
-    emc::Timer busy;
-    auto execute = [&](std::int64_t t) {
-      busy.reset();
+  ExecutionStats stats;
+  stats.ranks.assign(static_cast<std::size_t>(ranks), RankStats{});
+  std::atomic<bool> aborted{false};
+  const auto stopped = [&aborted] {
+    return aborted.load(std::memory_order_relaxed);
+  };
+
+  emc::Timer wall;
+  runtime_->run([&](pgas::Context& ctx) {
+    const int rank = ctx.rank();
+    const auto ru = static_cast<std::size_t>(rank);
+    const std::vector<std::int64_t>& mine = rank_slots[ru];
+    std::vector<RankStats> tstats(static_cast<std::size_t>(threads));
+    // Rank-local nxtval for the intra counter: a real atomic, not a
+    // network round trip, so it is priced free.
+    pgas::GlobalCounter local_counter(0);
+    const pgas::CommCostModel free_cost{};
+
+    pools_[ru]->run([&](int tid) {
+      RankStats& ts = tstats[static_cast<std::size_t>(tid)];
       try {
-        body(t, rank);
+        switch (policy) {
+          case Policy::kStatic:
+            for (std::size_t i = static_cast<std::size_t>(tid);
+                 i < mine.size() && !stopped();
+                 i += static_cast<std::size_t>(threads)) {
+              body(mine[i], rank, ts);
+            }
+            break;
+          case Policy::kCounter: {
+            pgas::GlobalCounter& counter =
+                global ? global_counter : local_counter;
+            const pgas::CommCostModel& cost =
+                global ? ctx.cost_model() : free_cost;
+            const std::int64_t chunk =
+                global ? schedule.counter_chunk : schedule.intra_chunk;
+            const auto count =
+                global ? n_slots : static_cast<std::int64_t>(mine.size());
+            while (!stopped()) {
+              const std::int64_t first = counter.fetch_add(chunk, cost, rank);
+              ++ts.counter_ops;
+              if (first >= count) break;
+              const std::int64_t last = std::min(first + chunk, count);
+              for (std::int64_t i = first; i < last && !stopped(); ++i) {
+                body(global ? i : mine[static_cast<std::size_t>(i)], rank, ts);
+              }
+            }
+            break;
+          }
+          case Policy::kWorkStealing: {
+            const auto deque_of = [&](int r, int t) -> WsDeque& {
+              return *deques[static_cast<std::size_t>(r) *
+                                 static_cast<std::size_t>(threads) +
+                             static_cast<std::size_t>(t)];
+            };
+            WsDeque& own = deque_of(rank, tid);
+            std::atomic<std::int64_t>& left = remaining[global ? 0 : ru];
+            const bool remote = global && ranks > 1;
+            emc::Rng rng(executor_seed(schedule.steal.seed, rank, tid,
+                                       threads));
+            const auto run_slot = [&](std::int64_t s) {
+              body(s, rank, ts);
+              left.fetch_sub(1, std::memory_order_relaxed);
+            };
+            // One steal attempt: on success migrate up to half of the
+            // victim's remaining queue, then run the first stolen slot.
+            const auto steal_from = [&](WsDeque& victim) {
+              ++ts.steal_attempts;
+              const auto s = victim.steal();
+              if (!s) return false;
+              ++ts.steals;
+              std::int64_t extra = victim.size_estimate() / 2;
+              while (extra-- > 0) {
+                const auto more = victim.steal();
+                if (!more) break;
+                own.push(*more);
+              }
+              run_slot(*s);
+              return true;
+            };
+            while (left.load(std::memory_order_relaxed) > 0 && !stopped()) {
+              if (const auto s = own.pop()) {
+                run_slot(*s);
+                continue;
+              }
+              if (threads > 1) {
+                auto vt = static_cast<int>(
+                    rng.below(static_cast<std::uint64_t>(threads - 1)));
+                if (vt >= tid) ++vt;
+                if (steal_from(deque_of(rank, vt))) continue;
+              }
+              if (remote) {
+                // Remote victims pay the injected remote latency.
+                const auto pick = static_cast<std::int64_t>(rng.below(
+                    static_cast<std::uint64_t>((ranks - 1) * threads)));
+                auto vr = static_cast<int>(pick / threads);
+                if (vr >= rank) ++vr;
+                pgas::inject_delay(ctx.cost_model().remote_ns);
+                steal_from(deque_of(vr, static_cast<int>(pick % threads)));
+              }
+            }
+            break;
+          }
+        }
       } catch (...) {
-        // Unblock spinning thieves before propagating.
+        // Unblock every other executor before propagating.
         aborted.store(true, std::memory_order_relaxed);
         throw;
       }
-      mine.busy_seconds += busy.seconds();
-      ++mine.tasks_executed;
-      if (executed_by != nullptr) {
-        (*executed_by)[static_cast<std::size_t>(t)] = rank;
-      }
-      remaining.fetch_sub(1, std::memory_order_relaxed);
-    };
+    });
 
-    while (remaining.load(std::memory_order_relaxed) > 0 &&
-           !aborted.load(std::memory_order_relaxed)) {
-      if (auto t = my_deque.pop()) {
-        execute(*t);
-        continue;
-      }
-      if (n_ranks == 1) continue;
-      // Idle: pick a random victim and attempt a steal round trip.
-      const int victim = static_cast<int>(
-          rng.below(static_cast<std::uint64_t>(n_ranks - 1)));
-      const int victim_rank = victim >= rank ? victim + 1 : victim;
-      WsDeque& vd = *deques[static_cast<std::size_t>(victim_rank)];
-      ++mine.steal_attempts;
-      pgas::inject_delay(ctx.cost_model().remote_ns);
-
-      if (auto stolen = vd.steal()) {
-        ++mine.steals;
-        if (options.steal_half) {
-          // Migrate up to half of the victim's remaining queue, then run
-          // the first stolen task.
-          std::int64_t extra = vd.size_estimate() / 2;
-          while (extra-- > 0) {
-            if (auto more = vd.steal()) {
-              my_deque.push(*more);
-            } else {
-              break;
-            }
-          }
-        }
-        execute(*stolen);
-      }
+    RankStats& total = stats.ranks[ru];
+    for (const RankStats& ts : tstats) {
+      total.tasks_executed += ts.tasks_executed;
+      total.busy_seconds += ts.busy_seconds;
+      total.steal_attempts += ts.steal_attempts;
+      total.steals += ts.steals;
+      total.counter_ops += ts.counter_ops;
     }
+    if (rank_done) rank_done(rank);
   });
-
   stats.wall_seconds = wall.seconds();
   return stats;
-}
-
-std::vector<ExecutionStats> run_retentive_work_stealing(
-    pgas::Runtime& runtime, std::int64_t n_tasks,
-    const lb::Assignment& initial, const TaskBody& body, int iterations,
-    const WorkStealingOptions& options) {
-  std::vector<ExecutionStats> per_round;
-  lb::Assignment current = initial;
-  std::vector<int> executed_by;
-  for (int round = 0; round < iterations; ++round) {
-    per_round.push_back(run_work_stealing(runtime, n_tasks, current, body,
-                                          options, &executed_by));
-    // Retention: next round starts where the steals moved the work.
-    current.assign(executed_by.begin(), executed_by.end());
-  }
-  return per_round;
 }
 
 }  // namespace emc::exec

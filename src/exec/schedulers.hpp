@@ -1,28 +1,42 @@
 #pragma once
 
-// The execution models under study, as real multithreaded schedulers over
-// the PGAS runtime:
+// The execution models under study, as one real multithreaded slot
+// scheduler over the PGAS runtime. Executors are ranks × threads: each
+// rank owns a persistent ThreadPool, and every pool thread runs the same
+// executor loop, drawing slots from one of three sources:
 //
-//   * static       — tasks pre-assigned; no runtime redistribution
-//   * counter      — GA-nxtval dynamic chunked self-scheduling
-//   * work stealing — per-rank Chase–Lev deques, random victims
-//   * retentive WS — iterative work stealing that re-seeds each iteration
-//                    with the previous iteration's final task placement
+//   * static        — a cyclic slice of the rank's home slots
+//   * counter       — GA-nxtval chunked self-scheduling, either over the
+//                     rank's home slots (rank-local atomic, free) or over
+//                     all slots (the global counter, priced by the
+//                     runtime's cost model)
+//   * work stealing — per-executor Chase–Lev deques seeded cyclically over
+//                     the rank's threads; victims are co-threads first,
+//                     then remote ranks, and a thief takes half the
+//                     victim's queue
 //
-// Each scheduler executes the same abstract task list and returns per-rank
-// accounting so benches can report utilization and overhead anatomy.
+// The same Policy names both scheduling levels. The inter-rank policy
+// decides the scope: static keeps every slot on its home rank and lets
+// the intra-rank policy divide it among the rank's threads; counter and
+// work stealing schedule all slots across all executors, so the intra
+// policy is not consulted.
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
+#include "exec/thread_pool.hpp"
 #include "lb/partition.hpp"
 #include "pgas/runtime.hpp"
 
 namespace emc::exec {
 
-/// Task body: invoked exactly once per task index, on the executing rank.
-using TaskBody = std::function<void(std::int64_t task, int rank)>;
+enum class Policy {
+  kStatic,        ///< fixed home assignment, cyclic thread slices
+  kCounter,       ///< GA-nxtval chunked self-scheduling
+  kWorkStealing,  ///< Chase-Lev deques, random victims, steal half
+};
 
 struct RankStats {
   std::int64_t tasks_executed = 0;
@@ -42,36 +56,51 @@ struct ExecutionStats {
   double utilization() const;
 };
 
-/// Runs tasks under a fixed assignment (assignment[t] = rank).
-ExecutionStats run_static(pgas::Runtime& runtime, std::int64_t n_tasks,
-                          const lb::Assignment& assignment,
-                          const TaskBody& body);
-
-/// Runs tasks via a shared global counter; each grab takes `chunk` tasks.
-ExecutionStats run_counter(pgas::Runtime& runtime, std::int64_t n_tasks,
-                           std::int64_t chunk, const TaskBody& body);
-
 struct WorkStealingOptions {
-  bool steal_half = true;    ///< steal half the victim's queue vs one task
   std::uint64_t seed = 7;    ///< victim-selection RNG seed
 };
 
-/// Work stealing from an initial assignment. If `executed_by` is non-null
-/// it receives, per task, the rank that ran it (for retentive reuse).
-ExecutionStats run_work_stealing(pgas::Runtime& runtime,
-                                 std::int64_t n_tasks,
-                                 const lb::Assignment& initial,
-                                 const TaskBody& body,
-                                 const WorkStealingOptions& options = {},
-                                 std::vector<int>* executed_by = nullptr);
+struct SlotSchedule {
+  Policy inter = Policy::kWorkStealing;
+  /// Divides a rank's home slots among its threads; read only when
+  /// inter == kStatic.
+  Policy intra = Policy::kStatic;
+  /// Slots per global-counter grab (inter == kCounter).
+  std::int64_t counter_chunk = 4;
+  /// Slots per rank-local counter grab (inter == kStatic, intra ==
+  /// kCounter).
+  std::int64_t intra_chunk = 1;
+  WorkStealingOptions steal;
 
-/// Runs `iterations` rounds of the same task list (an SCF-like iterative
-/// kernel). Round 1 starts from `initial`; each later round starts from
-/// where the previous round's steals left the tasks. Returns stats per
-/// round.
-std::vector<ExecutionStats> run_retentive_work_stealing(
-    pgas::Runtime& runtime, std::int64_t n_tasks,
-    const lb::Assignment& initial, const TaskBody& body, int iterations,
-    const WorkStealingOptions& options = {});
+  /// Throws std::invalid_argument when a chunk is < 1.
+  void validate() const;
+};
+
+/// Runs one slot on executor (rank, thread). The scheduler accounts
+/// steals and counter ops in `stats`; the body accounts its own work
+/// (tasks_executed, busy_seconds).
+using SlotBody =
+    std::function<void(std::int64_t slot, int rank, RankStats& stats)>;
+
+class SlotScheduler {
+ public:
+  /// One pool of `threads` executors per rank of `runtime` (reused
+  /// across runs). Throws std::invalid_argument when threads < 1.
+  SlotScheduler(pgas::Runtime& runtime, int threads);
+
+  /// Executes every slot s in [0, home.size()) exactly once; home[s] is
+  /// the rank that owns slot s (the static placement and the stealing
+  /// seed). `rank_done(rank)`, when set, runs on each rank's thread
+  /// once all of that rank's executors have drained. The first
+  /// exception thrown by a body stops every executor and is rethrown.
+  ExecutionStats run(const SlotSchedule& schedule, const lb::Assignment& home,
+                     const SlotBody& body,
+                     const std::function<void(int rank)>& rank_done = {});
+
+ private:
+  pgas::Runtime* runtime_;
+  int threads_;
+  std::vector<std::unique_ptr<ThreadPool>> pools_;
+};
 
 }  // namespace emc::exec

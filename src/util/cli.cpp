@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 namespace emc {
@@ -19,6 +20,24 @@ void Cli::add_int(const std::string& name, char short_name,
         const long long parsed = std::strtoll(v.c_str(), &end, 10);
         if (end == v.c_str() || *end != '\0') return false;
         *target = parsed;
+        return true;
+      }});
+}
+
+void Cli::add_int(const std::string& name, char short_name,
+                  const std::string& help, int* target) {
+  options_.push_back(Option{
+      name, short_name, help, /*takes_value=*/true,
+      std::to_string(*target),
+      [target](const std::string& v) {
+        char* end = nullptr;
+        const long long parsed = std::strtoll(v.c_str(), &end, 10);
+        if (end == v.c_str() || *end != '\0' ||
+            parsed < std::numeric_limits<int>::min() ||
+            parsed > std::numeric_limits<int>::max()) {
+          return false;
+        }
+        *target = static_cast<int>(parsed);
         return true;
       }});
 }

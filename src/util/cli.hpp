@@ -23,6 +23,9 @@ class Cli {
 
   void add_int(const std::string& name, char short_name,
                const std::string& help, std::int64_t* target);
+  /// As above; values outside int's range are rejected.
+  void add_int(const std::string& name, char short_name,
+               const std::string& help, int* target);
   void add_double(const std::string& name, char short_name,
                   const std::string& help, double* target);
   void add_string(const std::string& name, char short_name,

@@ -11,6 +11,7 @@
 #include "core/distributed_fock.hpp"
 #include "pgas/runtime.hpp"
 #include "util/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -106,14 +107,30 @@ TEST_F(DistributedFockTest, GMatrixIdenticalAcrossModels) {
 }
 
 TEST_F(DistributedFockTest, RejectsUnknownBalancer) {
+  // Bad options fail at construction, not on the first build.
   pgas::Runtime runtime(2);
   DistributedFockOptions options;
   options.model = ExecModel::kStatic;
   options.static_balancer = "voodoo";
-  DistributedFockBuilder builder(basis, runtime, options);
-  const auto n = static_cast<std::size_t>(basis.function_count());
-  const linalg::Matrix density(n, n);
-  EXPECT_THROW(builder.build_g(density), std::invalid_argument);
+  EXPECT_THROW(DistributedFockBuilder(basis, runtime, options),
+               std::invalid_argument);
+}
+
+TEST_F(DistributedFockTest, RejectsNonPositiveChunks) {
+  pgas::Runtime runtime(2);
+  for (const std::int64_t chunk : {0, -3}) {
+    DistributedFockOptions counter;
+    counter.model = ExecModel::kCounter;
+    counter.counter_chunk = chunk;
+    EXPECT_THROW(DistributedFockBuilder(basis, runtime, counter),
+                 std::invalid_argument);
+    DistributedFockOptions intra;
+    intra.model = ExecModel::kStatic;
+    intra.intra_policy = core::IntraPolicy::kCounter;
+    intra.intra_chunk = chunk;
+    EXPECT_THROW(DistributedFockBuilder(basis, runtime, intra),
+                 std::invalid_argument);
+  }
 }
 
 TEST_F(DistributedFockTest, RejectsWrongDensityShape) {
@@ -366,6 +383,139 @@ TEST_F(HybridFockTest, RejectsNonPositiveThreads) {
   options.threads = 0;
   EXPECT_THROW(DistributedFockBuilder builder(basis, runtime, options),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------
+// Pinned digests. Every other check here compares one combo against a
+// reference built by the same binary, so a change that moved the slot
+// or tree order for EVERY combo at once would pass them all. These pin
+// the bytes of G (FNV-1a 64) and the re-execution count of each
+// deterministic cell to the values the scheduler produced when they
+// were recorded.
+
+std::uint64_t fnv1a(const linalg::Matrix& m) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(m.data());
+  for (std::size_t i = 0; i < m.rows() * m.cols() * sizeof(double); ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct PinnedCell {
+  ExecModel model;
+  IntraPolicy intra;
+  int threads;
+  int ranks;
+  bool faults;
+  std::uint64_t digest;
+  std::int64_t reexecs;
+};
+
+// Water/STO-3G, make_density(), lpt balancer. Every static cell at a
+// given rank count shares one G; so do the 1-rank dynamic cells.
+constexpr std::uint64_t kClean1 = 0x3c4a1c20feb63b9cULL;  // 1 rank
+constexpr std::uint64_t kClean2 = 0x08a02cffcf13094cULL;  // 2 ranks
+constexpr std::int64_t kFaultReexecs = 6;
+
+std::vector<PinnedCell> pinned_cells() {
+  std::vector<PinnedCell> cells;
+  const IntraPolicy intras[] = {IntraPolicy::kStatic, IntraPolicy::kCounter,
+                                IntraPolicy::kWorkStealing};
+  for (const int ranks : {1, 2}) {
+    for (const IntraPolicy intra : intras) {
+      for (const int threads : {1, 2, 8}) {
+        cells.push_back({ExecModel::kStatic, intra, threads, ranks, false,
+                         ranks == 1 ? kClean1 : kClean2, 0});
+      }
+    }
+  }
+  for (const ExecModel model :
+       {ExecModel::kCounter, ExecModel::kWorkStealing}) {
+    for (const int threads : {1, 2, 8}) {
+      cells.push_back(
+          {model, IntraPolicy::kStatic, threads, 1, false, kClean1, 0});
+    }
+  }
+  // The faulted cells of FaultedBuildsStayBitwiseAndReexecsDeterministic.
+  for (const IntraPolicy intra : intras) {
+    for (const int threads : {1, 2, 8}) {
+      cells.push_back({ExecModel::kStatic, intra, threads, 2, true, kClean2,
+                       kFaultReexecs});
+    }
+  }
+  return cells;
+}
+
+TEST_F(HybridFockTest, PinnedDigestsOfDeterministicCells) {
+  const linalg::Matrix density = make_density();
+  for (const PinnedCell& cell : pinned_cells()) {
+    DistributedFockOptions options;
+    options.model = cell.model;
+    options.intra_policy = cell.intra;
+    options.threads = cell.threads;
+    options.static_balancer = "lpt";
+    options.intra_chunk = 2;
+    if (cell.faults) {
+      options.task_faults.fail_prob = 0.3;
+      options.task_faults.reexec_delay_ns = 100;
+    }
+    pgas::Runtime runtime(cell.ranks);
+    DistributedFockBuilder builder(basis, runtime, options);
+    const std::uint64_t digest = fnv1a(builder.build_g(density));
+    const std::string where =
+        "model=" + std::to_string(static_cast<int>(cell.model)) +
+        " intra=" + intra_name(cell.intra) +
+        " threads=" + std::to_string(cell.threads) +
+        " ranks=" + std::to_string(cell.ranks) +
+        " faults=" + std::to_string(cell.faults);
+    EXPECT_EQ(digest, cell.digest) << where << " digest=0x" << std::hex
+                                   << digest;
+    EXPECT_EQ(builder.last_task_reexecutions(), cell.reexecs) << where;
+  }
+}
+
+// Seeded randomized differential harness: random ranks × threads ×
+// inter/intra pair × chunks × balancer × task faults must reproduce the
+// sequential FockBuilder's G and account for every task.
+TEST_F(HybridFockTest, RandomizedDifferentialAgainstSequential) {
+  const linalg::Matrix density = make_density();
+  const chem::FockBuilder sequential(basis);
+  const linalg::Matrix g_ref = sequential.build_g(density);
+  const auto n_tasks =
+      static_cast<std::int64_t>(sequential.make_tasks().size());
+  const ExecModel models[] = {ExecModel::kStatic, ExecModel::kCounter,
+                              ExecModel::kWorkStealing};
+  const IntraPolicy intras[] = {IntraPolicy::kStatic, IntraPolicy::kCounter,
+                                IntraPolicy::kWorkStealing};
+  const char* balancers[] = {"block", "cyclic", "lpt"};
+  emc::Rng rng(20240917);
+  for (int trial = 0; trial < 27; ++trial) {
+    DistributedFockOptions options;
+    options.model = models[trial % 3];
+    options.intra_policy = intras[(trial / 3) % 3];
+    const int ranks = 1 + static_cast<int>(rng.below(3));
+    options.threads = 1 << rng.below(3);
+    options.counter_chunk = 1 + static_cast<std::int64_t>(rng.below(4));
+    options.intra_chunk = 1 + static_cast<std::int64_t>(rng.below(4));
+    options.static_balancer = balancers[rng.below(3)];
+    options.steal.seed = rng();
+    if (rng.below(2) == 1) {
+      options.task_faults.fail_prob = 0.25;
+      options.task_faults.seed = rng();
+    }
+    pgas::Runtime runtime(ranks);
+    DistributedFockBuilder builder(basis, runtime, options);
+    const linalg::Matrix g = builder.build_g(density);
+    const std::string where =
+        "trial=" + std::to_string(trial) +
+        " model=" + std::to_string(static_cast<int>(options.model)) +
+        " intra=" + intra_name(options.intra_policy) +
+        " ranks=" + std::to_string(ranks) +
+        " threads=" + std::to_string(options.threads);
+    EXPECT_TRUE(g.almost_equal(g_ref, 1e-10)) << where;
+    EXPECT_EQ(builder.last_stats().total_tasks(), n_tasks) << where;
+  }
 }
 
 }  // namespace

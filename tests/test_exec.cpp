@@ -1,12 +1,12 @@
 // Execution-model tests: Chase–Lev deque correctness (sequential and
-// under concurrent theft) and the exactly-once guarantee of every
-// scheduler.
+// under concurrent theft) and the exactly-once guarantee of the slot
+// scheduler under every policy pair.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
-#include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -144,173 +144,203 @@ TEST(WsDequeTest, OwnerVsThiefLastElementRace) {
   }
 }
 
-class SchedulerFixture : public ::testing::Test {
- protected:
-  static constexpr std::int64_t kTasks = 500;
-  static constexpr int kRanks = 4;
+// ---------------------------------------------------------------------
+// SlotScheduler: one executor loop over ranks × threads for every
+// (inter, intra) policy pair.
 
-  SchedulerFixture() : runtime(kRanks), hits(kTasks) {}
+constexpr Policy kPolicies[] = {Policy::kStatic, Policy::kCounter,
+                                Policy::kWorkStealing};
 
-  TaskBody counting_body() {
-    return [this](std::int64_t t, int) {
-      hits[static_cast<std::size_t>(t)].fetch_add(1);
-    };
+const char* policy_name(Policy p) {
+  switch (p) {
+    case Policy::kStatic: return "static";
+    case Policy::kCounter: return "counter";
+    case Policy::kWorkStealing: return "ws";
   }
+  return "?";
+}
 
-  void expect_exactly_once() {
-    for (std::int64_t t = 0; t < kTasks; ++t) {
-      ASSERT_EQ(hits[static_cast<std::size_t>(t)].load(), 1)
-          << "task " << t;
+SlotSchedule make_schedule(Policy inter, Policy intra,
+                           std::int64_t chunk = 7) {
+  SlotSchedule schedule;
+  schedule.inter = inter;
+  schedule.intra = intra;
+  schedule.counter_chunk = chunk;
+  schedule.intra_chunk = chunk;
+  return schedule;
+}
+
+/// Small but nonzero work so thieves get a window.
+void spin() {
+  volatile double x = 0.0;
+  for (int i = 0; i < 2000; ++i) x = x + 1.0;
+}
+
+TEST(SlotSchedulerTest, EveryPolicyPairExecutesEachSlotOnce) {
+  const std::int64_t n = 500;
+  for (const int ranks : {1, 4}) {
+    for (const int threads : {1, 3}) {
+      emc::pgas::Runtime runtime(ranks);
+      SlotScheduler scheduler(runtime, threads);
+      const auto home = emc::lb::block_assignment(n, ranks);
+      for (const Policy inter : kPolicies) {
+        for (const Policy intra : kPolicies) {
+          for (const std::int64_t chunk : {1, 7}) {
+            std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+            const ExecutionStats stats = scheduler.run(
+                make_schedule(inter, intra, chunk), home,
+                [&](std::int64_t s, int, RankStats& ts) {
+                  hits[static_cast<std::size_t>(s)].fetch_add(1);
+                  ++ts.tasks_executed;
+                });
+            const std::string where =
+                std::string("inter=") + policy_name(inter) +
+                " intra=" + policy_name(intra) +
+                " chunk=" + std::to_string(chunk) +
+                " ranks=" + std::to_string(ranks) +
+                " threads=" + std::to_string(threads);
+            for (std::int64_t s = 0; s < n; ++s) {
+              ASSERT_EQ(hits[static_cast<std::size_t>(s)].load(), 1)
+                  << where << " slot " << s;
+            }
+            EXPECT_EQ(stats.total_tasks(), n) << where;
+            EXPECT_EQ(stats.ranks.size(), static_cast<std::size_t>(ranks));
+          }
+        }
+      }
     }
   }
-
-  emc::pgas::Runtime runtime;
-  std::vector<std::atomic<int>> hits;
-};
-
-TEST_F(SchedulerFixture, StaticExecutesAllExactlyOnce) {
-  const auto assignment = emc::lb::block_assignment(kTasks, kRanks);
-  const ExecutionStats stats =
-      run_static(runtime, kTasks, assignment, counting_body());
-  expect_exactly_once();
-  EXPECT_EQ(stats.total_tasks(), kTasks);
-  EXPECT_EQ(stats.ranks.size(), static_cast<std::size_t>(kRanks));
-  EXPECT_GT(stats.wall_seconds, 0.0);
 }
 
-TEST_F(SchedulerFixture, StaticHonorsAssignment) {
-  const auto assignment = emc::lb::cyclic_assignment(kTasks, kRanks);
-  std::vector<std::atomic<int>> executor(kTasks);
-  run_static(runtime, kTasks, assignment,
-             [&](std::int64_t t, int rank) {
-               executor[static_cast<std::size_t>(t)].store(rank);
-             });
-  for (std::int64_t t = 0; t < kTasks; ++t) {
-    EXPECT_EQ(executor[static_cast<std::size_t>(t)].load(),
-              assignment[static_cast<std::size_t>(t)]);
+TEST(SlotSchedulerTest, StaticHonorsHome) {
+  const std::int64_t n = 200;
+  emc::pgas::Runtime runtime(4);
+  SlotScheduler scheduler(runtime, 3);
+  const auto home = emc::lb::cyclic_assignment(n, 4);
+  for (const Policy intra : kPolicies) {
+    std::vector<std::atomic<int>> executor(static_cast<std::size_t>(n));
+    scheduler.run(make_schedule(Policy::kStatic, intra), home,
+                  [&](std::int64_t s, int rank, RankStats&) {
+                    executor[static_cast<std::size_t>(s)].store(rank);
+                  });
+    for (std::int64_t s = 0; s < n; ++s) {
+      EXPECT_EQ(executor[static_cast<std::size_t>(s)].load(),
+                home[static_cast<std::size_t>(s)])
+          << "intra=" << policy_name(intra) << " slot " << s;
+    }
   }
 }
 
-TEST_F(SchedulerFixture, CounterExecutesAllExactlyOnce) {
-  const ExecutionStats stats =
-      run_counter(runtime, kTasks, /*chunk=*/7, counting_body());
-  expect_exactly_once();
-  EXPECT_EQ(stats.total_tasks(), kTasks);
-  // Every rank performed at least its terminating counter op.
-  for (const auto& r : stats.ranks) {
-    EXPECT_GE(r.counter_ops, 1);
+TEST(SlotSchedulerTest, EveryExecutorMakesACounterOp) {
+  // Each executor performs at least its terminating grab, so a rank
+  // records at least `threads` counter ops — under the global counter
+  // and under the rank-local one.
+  const int threads = 3;
+  emc::pgas::Runtime runtime(4);
+  SlotScheduler scheduler(runtime, threads);
+  const auto home = emc::lb::block_assignment(100, 4);
+  for (const Policy inter : {Policy::kCounter, Policy::kStatic}) {
+    const ExecutionStats stats =
+        scheduler.run(make_schedule(inter, Policy::kCounter), home,
+                      [](std::int64_t, int, RankStats&) {});
+    for (const RankStats& r : stats.ranks) {
+      EXPECT_GE(r.counter_ops, threads) << "inter=" << policy_name(inter);
+    }
   }
 }
 
-TEST_F(SchedulerFixture, CounterChunkOneWorks) {
-  run_counter(runtime, kTasks, 1, counting_body());
-  expect_exactly_once();
-}
-
-TEST_F(SchedulerFixture, CounterRejectsBadChunk) {
-  EXPECT_THROW(run_counter(runtime, kTasks, 0, counting_body()),
-               std::invalid_argument);
-}
-
-TEST_F(SchedulerFixture, WorkStealingExecutesAllExactlyOnce) {
-  const auto initial = emc::lb::block_assignment(kTasks, kRanks);
-  const ExecutionStats stats =
-      run_work_stealing(runtime, kTasks, initial, counting_body());
-  expect_exactly_once();
-  EXPECT_EQ(stats.total_tasks(), kTasks);
-}
-
-TEST_F(SchedulerFixture, WorkStealingFromSkewedAssignmentSteals) {
+TEST(SlotSchedulerTest, SkewedHomeUnderStealingSteals) {
   // Everything starts on rank 0; other ranks can only contribute by
   // stealing, so at least one steal must succeed.
-  const emc::lb::Assignment initial(kTasks, 0);
-  std::vector<int> executed_by;
-  WorkStealingOptions options;
-  const ExecutionStats stats = run_work_stealing(
-      runtime, kTasks, initial,
-      [](std::int64_t, int) {
-        // Small but nonzero work so thieves get a window.
-        volatile double x = 0.0;
-        for (int i = 0; i < 2000; ++i) x = x + 1.0;
-      },
-      options, &executed_by);
+  const std::int64_t n = 500;
+  emc::pgas::Runtime runtime(4);
+  SlotScheduler scheduler(runtime, 1);
+  const emc::lb::Assignment home(static_cast<std::size_t>(n), 0);
+  std::vector<std::atomic<int>> executor(static_cast<std::size_t>(n));
+  const ExecutionStats stats = scheduler.run(
+      make_schedule(Policy::kWorkStealing, Policy::kStatic), home,
+      [&](std::int64_t s, int rank, RankStats&) {
+        spin();
+        executor[static_cast<std::size_t>(s)].store(rank);
+      });
   EXPECT_GT(stats.total_steals(), 0);
-  ASSERT_EQ(executed_by.size(), static_cast<std::size_t>(kTasks));
-  for (int rank : executed_by) {
-    EXPECT_GE(rank, 0);
-    EXPECT_LT(rank, kRanks);
+  for (const auto& rank : executor) {
+    EXPECT_GE(rank.load(), 0);
+    EXPECT_LT(rank.load(), 4);
   }
 }
 
-TEST_F(SchedulerFixture, WorkStealingStealOneVariant) {
-  const auto initial = emc::lb::block_assignment(kTasks, kRanks);
-  WorkStealingOptions options;
-  options.steal_half = false;
-  run_work_stealing(runtime, kTasks, initial, counting_body(), options);
-  expect_exactly_once();
+TEST(SlotSchedulerTest, StaticInterStealsOnlyWithinTheRank) {
+  // Intra-rank stealing balances threads but never moves a slot off its
+  // home rank.
+  const std::int64_t n = 300;
+  emc::pgas::Runtime runtime(2);
+  SlotScheduler scheduler(runtime, 4);
+  const emc::lb::Assignment home(static_cast<std::size_t>(n), 1);
+  std::atomic<int> off_home{0};
+  scheduler.run(make_schedule(Policy::kStatic, Policy::kWorkStealing), home,
+                [&](std::int64_t, int rank, RankStats&) {
+                  spin();
+                  if (rank != 1) off_home.fetch_add(1);
+                });
+  EXPECT_EQ(off_home.load(), 0);
 }
 
-TEST_F(SchedulerFixture, RetentiveRunsEveryIteration) {
-  const auto initial = emc::lb::block_assignment(kTasks, kRanks);
-  std::atomic<std::int64_t> total{0};
-  const auto rounds = run_retentive_work_stealing(
-      runtime, kTasks, initial,
-      [&](std::int64_t, int) { total.fetch_add(1); }, 3);
-  ASSERT_EQ(rounds.size(), 3u);
-  EXPECT_EQ(total.load(), 3 * kTasks);
-  for (const auto& r : rounds) {
-    EXPECT_EQ(r.total_tasks(), kTasks);
+TEST(SlotSchedulerTest, RankDoneRunsOnceAfterTheRankDrains) {
+  const std::int64_t n = 120;
+  emc::pgas::Runtime runtime(3);
+  SlotScheduler scheduler(runtime, 2);
+  const auto home = emc::lb::block_assignment(n, 3);
+  std::vector<std::atomic<int>> executed(3);
+  std::vector<int> seen_at_done(3, -1);
+  scheduler.run(
+      make_schedule(Policy::kStatic, Policy::kWorkStealing), home,
+      [&](std::int64_t, int rank, RankStats&) {
+        executed[static_cast<std::size_t>(rank)].fetch_add(1);
+      },
+      [&](int rank) {
+        seen_at_done[static_cast<std::size_t>(rank)] =
+            executed[static_cast<std::size_t>(rank)].load();
+      });
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(seen_at_done[static_cast<std::size_t>(r)], 40) << "rank " << r;
   }
 }
 
-TEST_F(SchedulerFixture, MismatchedAssignmentThrows) {
-  const emc::lb::Assignment wrong(10, 0);
-  EXPECT_THROW(run_static(runtime, kTasks, wrong, counting_body()),
+TEST(SlotSchedulerTest, RejectsBadArguments) {
+  emc::pgas::Runtime runtime(2);
+  EXPECT_THROW(SlotScheduler(runtime, 0), std::invalid_argument);
+  SlotScheduler scheduler(runtime, 2);
+  const auto home = emc::lb::block_assignment(10, 2);
+  const SlotBody body = [](std::int64_t, int, RankStats&) {};
+  SlotSchedule bad_counter = make_schedule(Policy::kCounter, Policy::kStatic);
+  bad_counter.counter_chunk = 0;
+  EXPECT_THROW(scheduler.run(bad_counter, home, body), std::invalid_argument);
+  SlotSchedule bad_intra = make_schedule(Policy::kStatic, Policy::kCounter);
+  bad_intra.intra_chunk = 0;
+  EXPECT_THROW(scheduler.run(bad_intra, home, body), std::invalid_argument);
+  // A home rank outside the runtime.
+  EXPECT_THROW(scheduler.run(make_schedule(Policy::kStatic, Policy::kStatic),
+                             emc::lb::Assignment(10, 5), body),
                std::invalid_argument);
-  EXPECT_THROW(run_work_stealing(runtime, kTasks, wrong, counting_body()),
-               std::invalid_argument);
 }
 
-TEST(SchedulerSingleRank, AllModelsDegenerate) {
-  emc::pgas::Runtime rt(1);
-  const std::int64_t n = 50;
-  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
-  const TaskBody body = [&](std::int64_t t, int) {
-    hits[static_cast<std::size_t>(t)].fetch_add(1);
-  };
-
-  run_static(rt, n, emc::lb::Assignment(static_cast<std::size_t>(n), 0),
-             body);
-  run_counter(rt, n, 4, body);
-  run_work_stealing(rt, n,
-                    emc::lb::Assignment(static_cast<std::size_t>(n), 0),
-                    body);
-  for (std::int64_t t = 0; t < n; ++t) {
-    EXPECT_EQ(hits[static_cast<std::size_t>(t)].load(), 3);
+TEST(SlotSchedulerTest, ExceptionPropagatesWithoutDeadlockUnderEveryPolicy) {
+  emc::pgas::Runtime runtime(4);
+  SlotScheduler scheduler(runtime, 2);
+  const auto home = emc::lb::block_assignment(1000, 4);
+  for (const Policy inter : kPolicies) {
+    for (const Policy intra : kPolicies) {
+      EXPECT_THROW(scheduler.run(make_schedule(inter, intra), home,
+                                 [](std::int64_t s, int, RankStats&) {
+                                   if (s == 537) {
+                                     throw std::runtime_error("slot exploded");
+                                   }
+                                 }),
+                   std::runtime_error)
+          << "inter=" << policy_name(inter) << " intra=" << policy_name(intra);
+    }
   }
-}
-
-TEST(SchedulerExceptionTest, CounterPropagatesWithoutDeadlock) {
-  emc::pgas::Runtime rt(4);
-  EXPECT_THROW(
-      run_counter(rt, 1000, 1,
-                  [](std::int64_t t, int) {
-                    if (t == 137) throw std::runtime_error("task exploded");
-                  }),
-      std::runtime_error);
-}
-
-TEST(SchedulerExceptionTest, WorkStealingPropagatesWithoutDeadlock) {
-  emc::pgas::Runtime rt(4);
-  const auto initial = emc::lb::block_assignment(1000, 4);
-  EXPECT_THROW(
-      run_work_stealing(rt, 1000, initial,
-                        [](std::int64_t t, int) {
-                          if (t == 500) {
-                            throw std::runtime_error("task exploded");
-                          }
-                        }),
-      std::runtime_error);
 }
 
 TEST(ExecutionStatsTest, UtilizationMath) {

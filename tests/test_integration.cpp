@@ -1,19 +1,17 @@
 // Cross-module integration tests: the parallel executors build the same
 // Fock matrices (and hence the same SCF energy) as the sequential
-// reference, both via thread-private accumulators and via one-sided
-// accumulation into a GlobalArray.
+// reference, both through the distributed builder and via hand-written
+// one-sided accumulation into a GlobalArray.
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
 
 #include "chem/fock.hpp"
 #include "chem/scf.hpp"
+#include "core/distributed_fock.hpp"
 #include "core/experiment.hpp"
 #include "core/task_model.hpp"
 #include "sim/simulators.hpp"
-#include "exec/schedulers.hpp"
 #include "lb/simple.hpp"
 #include "pgas/global_array.hpp"
 #include "pgas/runtime.hpp"
@@ -24,36 +22,12 @@ using namespace emc;
 using chem::FockBuilder;
 using linalg::Matrix;
 
-/// G(P) builder that executes Fock tasks under work stealing with
-/// per-rank J/K accumulators, reduced at the end.
-chem::GBuilder parallel_g_builder(const FockBuilder& builder,
-                                  pgas::Runtime& runtime) {
-  return [&builder, &runtime](const Matrix& density) {
-    const auto n = static_cast<std::size_t>(
-        builder.basis().function_count());
-    const auto tasks = builder.make_tasks();
-    const auto n_ranks = static_cast<std::size_t>(runtime.size());
-
-    std::vector<Matrix> j_parts(n_ranks, Matrix(n, n));
-    std::vector<Matrix> k_parts(n_ranks, Matrix(n, n));
-
-    const auto initial =
-        lb::block_assignment(tasks.size(), runtime.size());
-    exec::run_work_stealing(
-        runtime, static_cast<std::int64_t>(tasks.size()), initial,
-        [&](std::int64_t t, int rank) {
-          builder.execute_task(tasks[static_cast<std::size_t>(t)], density,
-                               j_parts[static_cast<std::size_t>(rank)],
-                               k_parts[static_cast<std::size_t>(rank)]);
-        });
-
-    Matrix j_total(n, n), k_total(n, n);
-    for (std::size_t r = 0; r < n_ranks; ++r) {
-      j_total += j_parts[r];
-      k_total += k_parts[r];
-    }
-    return FockBuilder::combine_jk(j_total, k_total);
-  };
+/// Work-stealing distributed builder at 4 ranks (block-seeded slots).
+core::DistributedFockOptions work_stealing_options() {
+  core::DistributedFockOptions options;
+  options.model = core::ExecModel::kWorkStealing;
+  options.static_balancer = "block";
+  return options;
 }
 
 TEST(IntegrationTest, WorkStealingGBuildMatchesSequential) {
@@ -70,7 +44,9 @@ TEST(IntegrationTest, WorkStealingGBuildMatchesSequential) {
   }
 
   pgas::Runtime runtime(4);
-  const Matrix parallel = parallel_g_builder(builder, runtime)(density);
+  core::DistributedFockBuilder parallel_builder(basis, runtime,
+                                                work_stealing_options());
+  const Matrix parallel = parallel_builder.build_g(density);
   const Matrix sequential = builder.build_g(density);
   // Same contributions in a different summation order.
   EXPECT_TRUE(parallel.almost_equal(sequential, 1e-10));
@@ -79,11 +55,12 @@ TEST(IntegrationTest, WorkStealingGBuildMatchesSequential) {
 TEST(IntegrationTest, FullScfThroughParallelExecutor) {
   const chem::Molecule mol = chem::make_water();
   const chem::BasisSet basis = chem::BasisSet::build(mol, "sto-3g");
-  const FockBuilder builder(basis);
 
   pgas::Runtime runtime(4);
+  core::DistributedFockBuilder parallel_builder(basis, runtime,
+                                                work_stealing_options());
   const chem::ScfResult parallel = chem::run_rhf_with_builder(
-      mol, basis, parallel_g_builder(builder, runtime));
+      mol, basis, parallel_builder.as_g_builder());
   const chem::ScfResult sequential = chem::run_rhf(mol, basis);
 
   EXPECT_TRUE(parallel.converged);
@@ -93,32 +70,14 @@ TEST(IntegrationTest, FullScfThroughParallelExecutor) {
 TEST(IntegrationTest, CounterSchedulerScfMatchesToo) {
   const chem::Molecule mol = chem::make_h2(1.4);
   const chem::BasisSet basis = chem::BasisSet::build(mol, "sto-3g");
-  const FockBuilder builder(basis);
   pgas::Runtime runtime(2);
+  core::DistributedFockOptions options;
+  options.model = core::ExecModel::kCounter;
+  options.counter_chunk = 1;
+  core::DistributedFockBuilder counter_builder(basis, runtime, options);
 
-  const chem::GBuilder counter_builder =
-      [&](const Matrix& density) {
-        const auto n = static_cast<std::size_t>(basis.function_count());
-        const auto tasks = builder.make_tasks();
-        std::vector<Matrix> j_parts(2, Matrix(n, n)), k_parts(2, Matrix(n, n));
-        exec::run_counter(
-            runtime, static_cast<std::int64_t>(tasks.size()), 1,
-            [&](std::int64_t t, int rank) {
-              builder.execute_task(tasks[static_cast<std::size_t>(t)],
-                                   density,
-                                   j_parts[static_cast<std::size_t>(rank)],
-                                   k_parts[static_cast<std::size_t>(rank)]);
-            });
-        Matrix j_total(n, n), k_total(n, n);
-        for (int r = 0; r < 2; ++r) {
-          j_total += j_parts[static_cast<std::size_t>(r)];
-          k_total += k_parts[static_cast<std::size_t>(r)];
-        }
-        return FockBuilder::combine_jk(j_total, k_total);
-      };
-
-  const chem::ScfResult a =
-      chem::run_rhf_with_builder(mol, basis, counter_builder);
+  const chem::ScfResult a = chem::run_rhf_with_builder(
+      mol, basis, counter_builder.as_g_builder());
   const chem::ScfResult b = chem::run_rhf(mol, basis);
   EXPECT_NEAR(a.energy, b.energy, 1e-10);
   EXPECT_NEAR(a.energy, -1.1167, 2e-4);

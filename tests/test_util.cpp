@@ -268,6 +268,18 @@ TEST(CliTest, RejectsBadInt) {
   EXPECT_FALSE(cli.parse(3, argv));
 }
 
+TEST(CliTest, IntOverloadRejectsOutOfRange) {
+  Cli cli("prog", "test");
+  int n = 3;
+  cli.add_int("count", 'n', "a count", &n);
+  const char* ok[] = {"prog", "--count=-7"};
+  ASSERT_TRUE(cli.parse(2, ok));
+  EXPECT_EQ(n, -7);
+  const char* big[] = {"prog", "--count=4294967296"};
+  EXPECT_FALSE(cli.parse(2, big));
+  EXPECT_EQ(n, -7);
+}
+
 TEST(CliTest, MissingValueFails) {
   Cli cli("prog", "test");
   std::int64_t n = 0;
