@@ -5,6 +5,7 @@
 //   ./build/examples/cluster_sim --model work-stealing --procs 512
 //   ./build/examples/cluster_sim --model counter --chunk 8 --noise 0.2
 
+#include <exception>
 #include <iostream>
 
 #include "core/experiment.hpp"
@@ -14,7 +15,7 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace emc;
 
   std::string molecule_name = "water16";
@@ -39,7 +40,7 @@ int main(int argc, char** argv) {
               &iterations);
   cli.add_double("noise", 'z', "core-speed noise amplitude [0,1)", &noise);
   cli.add_int("seed", 's', "simulation seed", &seed);
-  if (!cli.parse(argc, argv)) return 1;
+  if (!cli.parse(argc, argv)) return 2;
 
   const core::TaskModel model = core::build_task_model(molecule_name);
 
@@ -98,8 +99,11 @@ int main(int argc, char** argv) {
            "static, balanced by " + balancer + " (" +
                std::to_string(b.balance_seconds * 1e3) + " ms to balance)");
   } else {
-    std::cerr << "unknown model '" << model_name << "'\n";
-    return 1;
+    std::cerr << "cluster_sim: unknown model '" << model_name << "'\n";
+    return 2;
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "cluster_sim: " << e.what() << "\n";
+  return 2;
 }

@@ -4,6 +4,7 @@
 //
 //   ./build/examples/loadbalance_compare --molecule water16 --procs 128
 
+#include <exception>
 #include <iostream>
 
 #include "core/experiment.hpp"
@@ -14,7 +15,7 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace emc;
 
   std::string molecule_name = "water8";
@@ -27,7 +28,7 @@ int main(int argc, char** argv) {
   cli.add_string("basis", 'b', "basis set", &basis_name);
   cli.add_int("procs", 'p', "simulated processor count", &procs);
   cli.add_int("window", 'w', "semi-matching locality window", &window);
-  if (!cli.parse(argc, argv)) return 1;
+  if (!cli.parse(argc, argv)) return 2;
 
   core::TaskModelOptions model_options;
   model_options.basis_name = basis_name;
@@ -64,4 +65,7 @@ int main(int argc, char** argv) {
             << model.total_cost() / static_cast<double>(procs) * 1e3
             << " ms\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "loadbalance_compare: " << e.what() << "\n";
+  return 2;
 }

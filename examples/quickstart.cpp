@@ -7,6 +7,7 @@
 //
 // Build & run:  ./build/examples/quickstart
 
+#include <exception>
 #include <iostream>
 
 #include "chem/basis.hpp"
@@ -17,7 +18,7 @@
 #include "lb/simple.hpp"
 #include "sim/simulators.hpp"
 
-int main() {
+int main() try {
   using namespace emc;
 
   // 1. Chemistry: restricted Hartree-Fock on a water molecule.
@@ -50,4 +51,7 @@ int main() {
             << " ms (" << steal_run.utilization() * 100 << "% utilized, "
             << steal_run.steals << " steals)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "quickstart: " << e.what() << "\n";
+  return 2;
 }

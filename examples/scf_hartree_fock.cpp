@@ -5,42 +5,36 @@
 //   ./build/examples/scf_hartree_fock --molecule water --basis 6-31g
 //   ./build/examples/scf_hartree_fock --molecule alkane4 --ranks 4
 
+#include <exception>
 #include <iostream>
 
-#include "chem/mp2.hpp"
 #include "chem/scf.hpp"
-#include "chem/uhf.hpp"
 #include "core/distributed_fock.hpp"
 #include "pgas/runtime.hpp"
 #include "util/cli.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace emc;
 
   std::string molecule_name = "water";
   std::string basis_name = "sto-3g";
-  std::string method = "rhf";
   std::int64_t ranks = 1;
   std::int64_t net_charge = 0;
-  std::int64_t multiplicity = 1;
   bool verbose = false;
 
-  Cli cli("scf_hartree_fock", "Hartree-Fock / MP2 driver");
+  Cli cli("scf_hartree_fock", "Restricted Hartree-Fock driver");
   cli.add_string("molecule", 'm',
                  "molecule: h2, water, methane, benzene, water<k>, "
                  "alkane<k>",
                  &molecule_name);
   cli.add_string("basis", 'b', "basis set: sto-3g, 6-31g, 6-31g*",
                  &basis_name);
-  cli.add_string("method", 'M', "method: rhf, uhf, or mp2", &method);
-  cli.add_int("ranks", 'r', "PGAS ranks for the parallel Fock build (rhf)",
+  cli.add_int("ranks", 'r', "PGAS ranks for the parallel Fock build",
               &ranks);
   cli.add_int("charge", 'q', "net molecular charge", &net_charge);
-  cli.add_int("multiplicity", 'S', "spin multiplicity 2S+1 (uhf)",
-              &multiplicity);
   cli.add_flag("verbose", 'v', "print orbital energies", &verbose);
-  if (!cli.parse(argc, argv)) return 1;
+  if (!cli.parse(argc, argv)) return 2;
 
   const chem::Molecule mol = chem::make_named_molecule(molecule_name);
   const chem::BasisSet basis = chem::BasisSet::build(mol, basis_name);
@@ -52,38 +46,6 @@ int main(int argc, char** argv) {
 
   chem::ScfOptions options;
   options.net_charge = static_cast<int>(net_charge);
-
-  if (method == "uhf") {
-    chem::UhfOptions uhf_options;
-    uhf_options.net_charge = static_cast<int>(net_charge);
-    uhf_options.multiplicity = static_cast<int>(multiplicity);
-    Timer uhf_timer;
-    const chem::UhfResult r = chem::run_uhf(mol, basis, uhf_options);
-    if (!r.converged) {
-      std::cerr << "UHF did not converge\n";
-      return 1;
-    }
-    std::cout << "UHF converged in " << r.iterations << " iterations, "
-              << uhf_timer.seconds() << " s\n"
-              << "  E(total) = " << r.energy << " Hartree\n"
-              << "  n_alpha = " << r.n_alpha << ", n_beta = " << r.n_beta
-              << ", <S^2> = " << r.s_squared << "\n";
-    return 0;
-  }
-  if (method == "mp2") {
-    Timer mp2_timer;
-    const chem::Mp2Result r = chem::run_mp2(mol, basis, options);
-    std::cout << "MP2 finished in " << mp2_timer.seconds() << " s\n"
-              << "  E(MP2 total)   = " << r.total_energy << " Hartree\n"
-              << "  E(2)           = " << r.correlation_energy << "\n"
-              << "  same-spin      = " << r.same_spin << "\n"
-              << "  opposite-spin  = " << r.opposite_spin << "\n";
-    return 0;
-  }
-  if (method != "rhf") {
-    std::cerr << "unknown method '" << method << "'\n";
-    return 1;
-  }
 
   Timer timer;
   chem::ScfResult result;
@@ -128,4 +90,7 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "scf_hartree_fock: " << e.what() << "\n";
+  return 2;
 }

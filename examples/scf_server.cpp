@@ -11,6 +11,7 @@
 // construction.
 
 #include <cstdio>
+#include <exception>
 #include <future>
 #include <iostream>
 #include <string>
@@ -19,7 +20,7 @@
 #include "serve/server.hpp"
 #include "util/metrics.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using emc::serve::JobRequest;
   using emc::serve::JobResult;
   using emc::serve::ScfServer;
@@ -124,4 +125,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(it->second.count));
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "scf_server: " << e.what() << "\n";
+  return 2;
 }

@@ -25,13 +25,17 @@ double boys_series(int m, double x) {
   return expmx * sum;
 }
 
-/// Asymptotic large-x evaluation: F_0 = sqrt(pi/(4x)) and upward
-/// recursion with the (negligible there) e^{-x} term dropped.
+/// Asymptotic large-x evaluation: F_0 = sqrt(pi/(4x)) (erf(sqrt(x)) is 1
+/// to double precision there) and the upward recursion
+///   F_m = ((2m-1) F_{m-1} - e^{-x}) / (2x).
+/// Dropping the e^{-x} term costs 3e-3 relative at x = 35, m = 20.
 void boys_asymptotic(double x, std::span<double> out) {
   out[0] = 0.5 * std::sqrt(kPi / x);
   const double inv2x = 1.0 / (2.0 * x);
+  const double expmx = std::exp(-x);
   for (std::size_t m = 1; m < out.size(); ++m) {
-    out[m] = out[m - 1] * (2.0 * static_cast<double>(m) - 1.0) * inv2x;
+    out[m] = (out[m - 1] * (2.0 * static_cast<double>(m) - 1.0) - expmx) *
+             inv2x;
   }
 }
 

@@ -14,9 +14,10 @@ namespace emc::chem {
 /// point — exact to ~1e-14 because d/dx F_m = -F_{m+1}, so the expansion
 /// only needs higher table columns — and lower orders follow by the
 /// stable downward recursion F_m = (2x F_{m+1} + e^{-x}) / (2m + 1). For
-/// large x the asymptotic closed form of F_0 plus upward recursion is
-/// used (stable there because e^{-x} is negligible). Orders beyond the
-/// table fall back to boys_reference.
+/// x >= 35 the asymptotic closed form of F_0 plus the upward recursion
+/// F_m = ((2m - 1) F_{m-1} - e^{-x}) / (2x) is used; it agrees with the
+/// series to 1e-13 relative for m <= 20. Orders beyond the table fall
+/// back to boys_reference.
 void boys(double x, std::span<double> out);
 
 /// Single-order convenience wrapper.

@@ -1,6 +1,8 @@
 #include "graph/hypergraph.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <set>
 #include <stdexcept>
 
 namespace emc::graph {
@@ -96,6 +98,28 @@ double Hypergraph::connectivity_cut(std::span<const int> part,
     }
   }
   return cut;
+}
+
+Hypergraph make_random_hypergraph(VertexId n_vertices, NetId n_nets,
+                                  int pins_per_net, double w_lo, double w_hi,
+                                  emc::Rng& rng) {
+  if (pins_per_net > n_vertices) {
+    throw std::invalid_argument("make_random_hypergraph: too many pins");
+  }
+  Hypergraph::Builder b(n_vertices);
+  const double log_lo = std::log(w_lo), log_hi = std::log(w_hi);
+  for (VertexId v = 0; v < n_vertices; ++v) {
+    b.set_vertex_weight(v, std::exp(rng.uniform(log_lo, log_hi)));
+  }
+  for (NetId e = 0; e < n_nets; ++e) {
+    std::set<VertexId> pins;
+    while (static_cast<int>(pins.size()) < pins_per_net) {
+      pins.insert(static_cast<VertexId>(
+          rng.below(static_cast<std::uint64_t>(n_vertices))));
+    }
+    b.add_net(std::vector<VertexId>(pins.begin(), pins.end()));
+  }
+  return b.build();
 }
 
 }  // namespace emc::graph

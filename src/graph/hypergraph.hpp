@@ -9,6 +9,8 @@
 #include <span>
 #include <vector>
 
+#include "util/rng.hpp"
+
 namespace emc::graph {
 
 using VertexId = std::int32_t;
@@ -76,5 +78,12 @@ class Hypergraph {
   std::vector<NetId> vertex_nets_;
   std::vector<double> vertex_weights_;
 };
+
+/// Random k-uniform hypergraph: `n_nets` nets of `pins_per_net` distinct
+/// pins each, vertex weights drawn log-uniformly in [w_lo, w_hi] to mimic
+/// heavy-tailed task costs.
+Hypergraph make_random_hypergraph(VertexId n_vertices, NetId n_nets,
+                                  int pins_per_net, double w_lo, double w_hi,
+                                  emc::Rng& rng);
 
 }  // namespace emc::graph

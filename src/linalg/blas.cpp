@@ -32,32 +32,6 @@ void gemm(double alpha, const Matrix& a, const Matrix& b, double beta,
   }
 }
 
-std::vector<double> matvec(const Matrix& a, std::span<const double> x) {
-  if (a.cols() != x.size()) {
-    throw std::invalid_argument("matvec: shape mismatch");
-  }
-  std::vector<double> y(a.rows(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    double s = 0.0;
-    const double* ai = a.row(i).data();
-    for (std::size_t j = 0; j < a.cols(); ++j) s += ai[j] * x[j];
-    y[i] = s;
-  }
-  return y;
-}
-
-double dot(std::span<const double> x, std::span<const double> y) {
-  if (x.size() != y.size()) throw std::invalid_argument("dot: size mismatch");
-  double s = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) s += x[i] * y[i];
-  return s;
-}
-
-void axpy(double alpha, std::span<const double> x, std::span<double> y) {
-  if (x.size() != y.size()) throw std::invalid_argument("axpy: size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
 Matrix congruence(const Matrix& x, const Matrix& b) {
   return matmul(x.transposed(), matmul(b, x));
 }

@@ -2,8 +2,6 @@
 
 // BLAS-like dense kernels over emc::linalg::Matrix.
 
-#include <span>
-
 #include "linalg/matrix.hpp"
 
 namespace emc::linalg {
@@ -14,15 +12,6 @@ Matrix matmul(const Matrix& a, const Matrix& b);
 /// C = alpha * A * B + beta * C (general matrix multiply-accumulate).
 void gemm(double alpha, const Matrix& a, const Matrix& b, double beta,
           Matrix& c);
-
-/// y = A * x.
-std::vector<double> matvec(const Matrix& a, std::span<const double> x);
-
-/// <x, y>.
-double dot(std::span<const double> x, std::span<const double> y);
-
-/// y += alpha * x.
-void axpy(double alpha, std::span<const double> x, std::span<double> y);
 
 /// Returns A^T * B * A (basis-change congruence transform, used heavily
 /// in SCF: F' = X^T F X).

@@ -6,27 +6,6 @@
 
 namespace emc::linalg {
 
-Matrix cholesky(const Matrix& a) {
-  if (!a.square()) throw std::invalid_argument("cholesky: not square");
-  const std::size_t n = a.rows();
-  Matrix l(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      double s = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
-      if (i == j) {
-        if (s <= 0.0) {
-          throw std::runtime_error("cholesky: matrix not positive definite");
-        }
-        l(i, j) = std::sqrt(s);
-      } else {
-        l(i, j) = s / l(j, j);
-      }
-    }
-  }
-  return l;
-}
-
 LuResult lu_decompose(const Matrix& a, double pivot_tol) {
   if (!a.square()) throw std::invalid_argument("lu_decompose: not square");
   const std::size_t n = a.rows();

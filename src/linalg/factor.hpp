@@ -1,17 +1,13 @@
 #pragma once
 
-// Matrix factorizations: Cholesky and partially-pivoted LU, plus linear
-// solves built on them (used by DIIS extrapolation in the SCF driver).
+// Partially-pivoted LU factorization, plus the linear solves built on it
+// (used by DIIS extrapolation in the SCF driver).
 
 #include <span>
 
 #include "linalg/matrix.hpp"
 
 namespace emc::linalg {
-
-/// Lower-triangular Cholesky factor L with A = L L^T.
-/// Throws std::runtime_error if A is not positive definite.
-Matrix cholesky(const Matrix& a);
 
 /// LU decomposition with partial pivoting, PA = LU packed into one matrix
 /// (unit diagonal of L implicit). `perm[i]` is the source row of row i.

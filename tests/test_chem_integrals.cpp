@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "chem/boys.hpp"
 #include "chem/constants.hpp"
@@ -41,8 +42,43 @@ TEST(BoysTest, DownwardRecursionConsistency) {
       const double rebuilt =
           (2.0 * x * f[static_cast<std::size_t>(m + 1)] + std::exp(-x)) /
           (2.0 * m + 1.0);
-      EXPECT_NEAR(f[static_cast<std::size_t>(m)], rebuilt, 1e-10)
+      EXPECT_NEAR(f[static_cast<std::size_t>(m)], rebuilt, 1e-13 * rebuilt)
           << "x=" << x << " m=" << m;
+    }
+  }
+}
+
+TEST(BoysTest, LargeArgumentMatchesHighPrecision) {
+  // High-precision (mpmath) values of F_m(x) on the asymptotic branch
+  // (fast path from x = 35, reference from x = 45).
+  struct Case {
+    int m;
+    double x, expected;
+  };
+  for (const Case c : {Case{20, 35.0, 5.9853256626083691e-15},
+                       Case{20, 40.0, 3.8861932400863595e-16},
+                       Case{20, 45.1, 3.3207792871600883e-17},
+                       Case{8, 35.0, 5.2672713731152326e-10},
+                       Case{8, 60.0, 5.3935964849061892e-12}}) {
+    std::vector<double> f(static_cast<std::size_t>(c.m) + 1);
+    boys(c.x, f);
+    EXPECT_NEAR(f.back(), c.expected, 1e-13 * c.expected)
+        << "fast x=" << c.x << " m=" << c.m;
+    boys_reference(c.x, f);
+    EXPECT_NEAR(f.back(), c.expected, 1e-13 * c.expected)
+        << "reference x=" << c.x << " m=" << c.m;
+  }
+}
+
+TEST(BoysTest, FastMatchesReferenceAcrossAsymptoticSwitch) {
+  // Table/asymptotic switch at 35 in the fast path; the reference stays
+  // on its series up to 45.
+  std::vector<double> fast(21), ref(21);
+  for (double x = 34.9; x < 45.0; x += 0.01) {
+    boys(x, fast);
+    boys_reference(x, ref);
+    for (std::size_t m = 0; m < fast.size(); ++m) {
+      EXPECT_NEAR(fast[m], ref[m], 1e-13 * ref[m]) << "x=" << x << " m=" << m;
     }
   }
 }

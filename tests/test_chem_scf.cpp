@@ -17,13 +17,19 @@ using namespace emc::chem;
 using emc::linalg::Matrix;
 
 TEST(ScfTest, H2Sto3gEnergyMatchesSzabo) {
-  const Molecule mol = make_h2(1.4);
-  const BasisSet basis = BasisSet::build(mol, "sto-3g");
-  const ScfResult r = run_rhf(mol, basis);
-  EXPECT_TRUE(r.converged);
-  // Szabo & Ostlund: E_total = -1.1167 at R = 1.4 a0.
-  EXPECT_NEAR(r.energy, -1.1167, 2e-4);
-  EXPECT_NEAR(r.nuclear_repulsion, 1.0 / 1.4, 1e-12);
+  // Szabo & Ostlund: E_total = -1.1167 at R = 1.4 a0, and -1.11751 at the
+  // RHF/STO-3G equilibrium R = 1.346 a0 (Table 3.11).
+  struct Case {
+    double r, energy, tolerance;
+  };
+  for (const Case c : {Case{1.4, -1.1167, 2e-4}, Case{1.346, -1.11751, 1e-5}}) {
+    const Molecule mol = make_h2(c.r);
+    const BasisSet basis = BasisSet::build(mol, "sto-3g");
+    const ScfResult r = run_rhf(mol, basis);
+    EXPECT_TRUE(r.converged) << "R=" << c.r;
+    EXPECT_NEAR(r.energy, c.energy, c.tolerance) << "R=" << c.r;
+    EXPECT_NEAR(r.nuclear_repulsion, 1.0 / c.r, 1e-12) << "R=" << c.r;
+  }
 }
 
 TEST(ScfTest, WaterSto3gEnergy) {

@@ -1,93 +1,19 @@
-// Tests for CSR graphs, hypergraphs, and the synthetic generators.
+// Tests for hypergraphs and the random hypergraph generator.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
-#include "graph/csr_graph.hpp"
-#include "graph/generators.hpp"
 #include "graph/hypergraph.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using emc::Rng;
-using emc::graph::CsrGraph;
 using emc::graph::Hypergraph;
 using emc::graph::NetId;
 using emc::graph::VertexId;
-
-TEST(CsrGraphTest, BasicConstruction) {
-  CsrGraph::Builder b(4);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2, 2.5);
-  b.add_edge(2, 3);
-  const CsrGraph g = b.build();
-  EXPECT_EQ(g.vertex_count(), 4);
-  EXPECT_EQ(g.edge_count(), 3u);
-  EXPECT_EQ(g.degree(1), 2u);
-  EXPECT_EQ(g.degree(0), 1u);
-}
-
-TEST(CsrGraphTest, NeighborsAreSorted) {
-  CsrGraph::Builder b(5);
-  b.add_edge(2, 4);
-  b.add_edge(2, 0);
-  b.add_edge(2, 3);
-  const CsrGraph g = b.build();
-  const auto nbrs = g.neighbors(2);
-  EXPECT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end()));
-  EXPECT_EQ(nbrs.size(), 3u);
-}
-
-TEST(CsrGraphTest, DuplicateEdgesAccumulateWeight) {
-  CsrGraph::Builder b(2);
-  b.add_edge(0, 1, 1.0);
-  b.add_edge(0, 1, 2.0);
-  const CsrGraph g = b.build();
-  EXPECT_EQ(g.degree(0), 1u);
-  EXPECT_DOUBLE_EQ(g.edge_weights(0)[0], 3.0);
-}
-
-TEST(CsrGraphTest, SelfLoopThrows) {
-  CsrGraph::Builder b(2);
-  EXPECT_THROW(b.add_edge(1, 1), std::invalid_argument);
-}
-
-TEST(CsrGraphTest, OutOfRangeThrows) {
-  CsrGraph::Builder b(2);
-  EXPECT_THROW(b.add_edge(0, 5), std::out_of_range);
-}
-
-TEST(CsrGraphTest, VertexWeights) {
-  CsrGraph::Builder b(3);
-  b.set_vertex_weight(1, 4.0);
-  const CsrGraph g = b.build();
-  EXPECT_DOUBLE_EQ(g.vertex_weight(0), 1.0);
-  EXPECT_DOUBLE_EQ(g.vertex_weight(1), 4.0);
-  EXPECT_DOUBLE_EQ(g.total_vertex_weight(), 6.0);
-}
-
-TEST(GridGraphTest, SizesAndDegrees) {
-  const CsrGraph g = emc::graph::make_grid_graph(3, 4);
-  EXPECT_EQ(g.vertex_count(), 12);
-  // Grid edges: 3*(4-1) horizontal + (3-1)*4 vertical = 9 + 8 = 17.
-  EXPECT_EQ(g.edge_count(), 17u);
-  // Corner has degree 2, interior 4.
-  EXPECT_EQ(g.degree(0), 2u);
-  EXPECT_EQ(g.degree(5), 4u);
-}
-
-TEST(RandomGraphTest, DeterministicAndDensityPlausible) {
-  Rng rng1(9), rng2(9);
-  const CsrGraph a = emc::graph::make_random_graph(40, 0.2, rng1);
-  const CsrGraph b = emc::graph::make_random_graph(40, 0.2, rng2);
-  EXPECT_EQ(a.edge_count(), b.edge_count());
-  // E[edges] = C(40,2)*0.2 = 156; accept a generous window.
-  EXPECT_GT(a.edge_count(), 100u);
-  EXPECT_LT(a.edge_count(), 220u);
-}
 
 TEST(HypergraphTest, PinAndDualConsistency) {
   Hypergraph::Builder b(5);

@@ -6,7 +6,7 @@
 #include <algorithm>
 #include <set>
 
-#include "graph/generators.hpp"
+#include "graph/hypergraph.hpp"
 #include "lb/hypergraph_partition.hpp"
 #include "lb/simple.hpp"
 #include "util/rng.hpp"
@@ -78,11 +78,12 @@ TEST(HgPartitionTest, CutsGridCheaperThanRandomSplit) {
   // A 2D grid modeled as a hypergraph (one net per edge). The partitioner
   // should find a far cheaper cut than a cyclic striping.
   const int rows = 12, cols = 12;
-  const auto grid = emc::graph::make_grid_graph(rows, cols);
-  Hypergraph::Builder b(grid.vertex_count());
-  for (VertexId v = 0; v < grid.vertex_count(); ++v) {
-    for (VertexId u : grid.neighbors(v)) {
-      if (u > v) b.add_net({v, u});
+  Hypergraph::Builder b(rows * cols);
+  for (VertexId r = 0; r < rows; ++r) {
+    for (VertexId c = 0; c < cols; ++c) {
+      const VertexId v = r * cols + c;
+      if (c + 1 < cols) b.add_net({v, v + 1});
+      if (r + 1 < rows) b.add_net({v, v + cols});
     }
   }
   const Hypergraph h = b.build();

@@ -127,21 +127,6 @@ TEST(BlasTest, MatmulIdentity) {
                   .almost_equal(a, 1e-14));
 }
 
-TEST(BlasTest, MatvecAndDotAndAxpy) {
-  Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  std::vector<double> x{1.0, -1.0};
-  const auto y = emc::linalg::matvec(a, x);
-  EXPECT_DOUBLE_EQ(y[0], -1.0);
-  EXPECT_DOUBLE_EQ(y[1], -1.0);
-
-  EXPECT_DOUBLE_EQ(emc::linalg::dot(x, y), 0.0);
-
-  std::vector<double> z{1.0, 1.0};
-  emc::linalg::axpy(2.0, x, z);
-  EXPECT_DOUBLE_EQ(z[0], 3.0);
-  EXPECT_DOUBLE_EQ(z[1], -1.0);
-}
-
 TEST(BlasTest, CongruenceTransform) {
   Rng rng(4);
   const Matrix x = random_matrix(3, 3, rng);
@@ -219,24 +204,6 @@ TEST(InverseSqrtTest, RejectsIndefinite) {
   EXPECT_THROW(emc::linalg::inverse_sqrt(m), std::runtime_error);
 }
 
-TEST(CholeskyTest, FactorReassembles) {
-  Rng rng(6);
-  const Matrix a = random_spd(6, rng);
-  const Matrix l = emc::linalg::cholesky(a);
-  EXPECT_TRUE(emc::linalg::matmul(l, l.transposed()).almost_equal(a, 1e-10));
-  // L is lower triangular.
-  for (std::size_t r = 0; r < 6; ++r) {
-    for (std::size_t c = r + 1; c < 6; ++c) {
-      EXPECT_DOUBLE_EQ(l(r, c), 0.0);
-    }
-  }
-}
-
-TEST(CholeskyTest, RejectsIndefinite) {
-  Matrix m{{0.0, 1.0}, {1.0, 0.0}};
-  EXPECT_THROW(emc::linalg::cholesky(m), std::runtime_error);
-}
-
 class SolvePropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SolvePropertyTest, LuSolvesRandomSystems) {
@@ -247,9 +214,10 @@ TEST_P(SolvePropertyTest, LuSolvesRandomSystems) {
   for (auto& x : b) x = rng.uniform(-2.0, 2.0);
 
   const auto x = emc::linalg::solve(a, b);
-  const auto ax = emc::linalg::matvec(a, x);
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(ax[i], b[i], 1e-9);
+    double ax = 0.0;
+    for (std::size_t j = 0; j < n; ++j) ax += a(i, j) * x[j];
+    EXPECT_NEAR(ax, b[i], 1e-9);
   }
 }
 
