@@ -6,22 +6,25 @@
 // Modes:
 //   (default)        google-benchmark microbenchmarks
 //   --smoke          fast seed-vs-cached kernel comparison per shell
-//                    class + a Fock-build sweep + accuracy cross-checks;
-//                    writes BENCH_kernel.json and exits nonzero on an
-//                    accuracy failure or a speedup below --min-speedup
+//                    class + a Fock-build sweep + the measured ERI/digest
+//                    split of a build + accuracy cross-checks; writes
+//                    BENCH_kernel.json and exits nonzero on an accuracy
+//                    failure or a speedup below --min-speedup
 //   --calibrate      re-fit the analytic task-cost model constants
 //                    (FockBuilder::estimate_task_cost) by least squares
 //                    against wall-time measurements of the current kernel
 //   --json=PATH      smoke JSON output path (default BENCH_kernel.json)
-//   --min-speedup=X  smoke regression gate on the Fock sweep (default 1.2
-//                    — deliberately below the recorded ~3x so scheduler
+//   --min-speedup=X  smoke regression gate on the Fock sweep (default 3.0
+//                    — deliberately below the recorded ~6-8x so scheduler
 //                    noise cannot fail CI, while a real regression does)
 //   --seed=N         seed for the randomized accuracy quartets
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -39,6 +42,7 @@
 #include "core/task_model.hpp"
 #include "linalg/lstsq.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -184,6 +188,33 @@ ClassResult time_quartet_class(const std::string& name, const Shell& a,
   return res;
 }
 
+/// Calls fn(task, k, l) for every quartet a build of `builder` evaluates:
+/// each canonical ket pair up to the task's rank whose Schwarz bound
+/// product survives the screening threshold.
+template <typename Fn>
+void for_each_screened_quartet(const FockBuilder& builder,
+                               const std::vector<ShellPairTask>& tasks,
+                               Fn&& fn) {
+  const auto& schwarz = builder.schwarz();
+  const double threshold = builder.screen_threshold();
+  const int n = static_cast<int>(builder.basis().shell_count());
+  for (const ShellPairTask& task : tasks) {
+    const double q_bra = schwarz(static_cast<std::size_t>(task.si),
+                                 static_cast<std::size_t>(task.sj));
+    for (int k = 0; k < n; ++k) {
+      for (int l = 0; l <= k; ++l) {
+        if (pair_rank(k, l) > task.rank) break;
+        if (threshold > 0.0 &&
+            q_bra * schwarz(static_cast<std::size_t>(k),
+                            static_cast<std::size_t>(l)) < threshold) {
+          continue;
+        }
+        fn(task, k, l);
+      }
+    }
+  }
+}
+
 /// Sweeps every screened quartet of the Fock-build task decomposition,
 /// once through the seed kernel and once through the pair cache. This is
 /// the workload whose speedup the cost-model recalibration records.
@@ -199,59 +230,107 @@ struct FockSweepResult {
 FockSweepResult fock_sweep(const FockBuilder& builder, int reps) {
   const auto& shells = builder.basis().shells();
   const auto& pairs = builder.shell_pairs();
-  const auto& schwarz = builder.schwarz();
-  const double threshold = builder.screen_threshold();
   const auto tasks = builder.make_tasks();
 
-  auto for_each_quartet = [&](auto&& fn) {
-    for (const ShellPairTask& task : tasks) {
-      const double q_bra = schwarz(static_cast<std::size_t>(task.si),
-                                   static_cast<std::size_t>(task.sj));
-      const int n = static_cast<int>(shells.size());
-      for (int k = 0; k < n; ++k) {
-        for (int l = 0; l <= k; ++l) {
-          if (pair_rank(k, l) > task.rank) break;
-          if (threshold > 0.0 &&
-              q_bra * schwarz(static_cast<std::size_t>(k),
-                              static_cast<std::size_t>(l)) < threshold) {
-            continue;
-          }
-          fn(task, k, l);
-        }
-      }
-    }
-  };
-
   FockSweepResult res;
-  for_each_quartet([&](const ShellPairTask&, int, int) { ++res.quartets; });
+  for_each_screened_quartet(builder, tasks,
+                            [&](const ShellPairTask&, int, int) {
+                              ++res.quartets;
+                            });
 
   emc::Timer timer;
   double sink = 0.0;
   for (int r = 0; r < reps; ++r) {
     timer.reset();
-    for_each_quartet([&](const ShellPairTask& task, int k, int l) {
-      const EriBlock block = eri_shell_quartet_direct(
-          shells[static_cast<std::size_t>(task.si)],
-          shells[static_cast<std::size_t>(task.sj)],
-          shells[static_cast<std::size_t>(k)],
-          shells[static_cast<std::size_t>(l)]);
-      sink += block.max_abs();
-    });
+    for_each_screened_quartet(
+        builder, tasks, [&](const ShellPairTask& task, int k, int l) {
+          const EriBlock block = eri_shell_quartet_direct(
+              shells[static_cast<std::size_t>(task.si)],
+              shells[static_cast<std::size_t>(task.sj)],
+              shells[static_cast<std::size_t>(k)],
+              shells[static_cast<std::size_t>(l)]);
+          sink += block.max_abs();
+        });
     const double t = timer.seconds() * 1e3;
     if (r == 0 || t < res.direct_ms) res.direct_ms = t;
   }
   for (int r = 0; r < reps; ++r) {
     timer.reset();
-    for_each_quartet([&](const ShellPairTask& task, int k, int l) {
-      const EriBlock block =
-          eri_shell_quartet(pairs.pair(task.si, task.sj), pairs.pair(k, l));
-      sink += block.max_abs();
-    });
+    for_each_screened_quartet(
+        builder, tasks, [&](const ShellPairTask& task, int k, int l) {
+          const EriBlock block = eri_shell_quartet(
+              pairs.pair(task.si, task.sj), pairs.pair(k, l));
+          sink += block.max_abs();
+        });
     const double t = timer.seconds() * 1e3;
     if (r == 0 || t < res.cached_ms) res.cached_ms = t;
   }
   benchmark::DoNotOptimize(sink);
   return res;
+}
+
+/// Median and interquartile range of a timing sample, in ms.
+struct Spread {
+  double median = 0.0, q1 = 0.0, q3 = 0.0;
+};
+
+Spread spread_of(const std::vector<double>& xs) {
+  return {emc::percentile(xs, 0.5), emc::percentile(xs, 0.25),
+          emc::percentile(xs, 0.75)};
+}
+
+/// CPU time of the calling thread in ms: on a shared host it does not
+/// count the time the thread waits for a core.
+double thread_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) * 1e-6;
+}
+
+/// The Fock build split into its two layers, measured in one process:
+/// an ERI-only sweep over exactly the quartets a build evaluates, and the
+/// full build_g, which adds the J/K digest. The two alternate within each
+/// repeat so host drift hits both alike; the digest time is the per-repeat
+/// difference. Times are thread CPU time.
+struct EriSplitResult {
+  int reps = 0;
+  Spread eri_ms, build_ms, digest_ms;
+};
+
+EriSplitResult eri_digest_split(const FockBuilder& builder, int reps,
+                                std::uint64_t seed) {
+  const auto& pairs = builder.shell_pairs();
+  const auto tasks = builder.make_tasks();
+  const auto n = static_cast<std::size_t>(builder.basis().function_count());
+  emc::Rng rng(seed);
+  emc::linalg::Matrix density(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      density(i, j) = density(j, i) = rng.uniform(-0.5, 0.5);
+    }
+  }
+
+  std::vector<double> eri, build, digest;
+  std::array<double, kMaxQuartetSize> block;
+  double sink = 0.0;
+  for (int r = 0; r < reps; ++r) {
+    double start = thread_cpu_ms();
+    // The build's own kernel entry: a stack block, no allocation.
+    for_each_screened_quartet(
+        builder, tasks, [&](const ShellPairTask& task, int k, int l) {
+          eri_shell_quartet(pairs.pair(task.si, task.sj), pairs.pair(k, l),
+                            block.data());
+          sink += block[0];
+        });
+    eri.push_back(thread_cpu_ms() - start);
+    start = thread_cpu_ms();
+    sink += builder.build_g(density)(0, 0);
+    build.push_back(thread_cpu_ms() - start);
+    digest.push_back(build.back() - eri.back());
+  }
+  benchmark::DoNotOptimize(sink);
+  return {reps, spread_of(eri), spread_of(build), spread_of(digest)};
 }
 
 /// Randomized cached-vs-direct agreement check (the same property the
@@ -286,7 +365,8 @@ int run_smoke(const std::string& json_path, double min_speedup,
               std::uint64_t seed) {
   std::cout << "bench_kernel --smoke (seed " << seed << ")\n"
             << "direct = seed kernel (per-quartet Hermite tables, series "
-               "Boys); cached = shell-pair cache + Boys table\n\n";
+               "Boys); cached = factorized kernel over the shell-pair "
+               "cache + Boys table\n\n";
 
   const BasisSet sto3g = BasisSet::build(make_water(), "sto-3g");
   const BasisSet g631s = BasisSet::build(make_water(), "6-31g*");
@@ -321,6 +401,17 @@ int run_smoke(const std::string& json_path, double min_speedup,
               "direct %.1f ms, cached %.1f ms, speedup %.2fx\n",
               static_cast<unsigned long long>(sweep.quartets),
               sweep.direct_ms, sweep.cached_ms, sweep.speedup());
+
+  const EriSplitResult split = eri_digest_split(builder, 15, seed);
+  std::printf("ERI/digest split, same quartets, %d interleaved repeats "
+              "(median [q1, q3] CPU ms):\n"
+              "  ERI sweep  %7.1f [%7.1f, %7.1f]\n"
+              "  full build %7.1f [%7.1f, %7.1f]\n"
+              "  digest     %7.1f [%7.1f, %7.1f]\n",
+              split.reps, split.eri_ms.median, split.eri_ms.q1,
+              split.eri_ms.q3, split.build_ms.median, split.build_ms.q1,
+              split.build_ms.q3, split.digest_ms.median, split.digest_ms.q1,
+              split.digest_ms.q3);
 
   const double rand_diff = random_quartet_max_diff(seed, 24);
   max_diff = std::max(max_diff, rand_diff);
@@ -360,6 +451,21 @@ int run_smoke(const std::string& json_path, double min_speedup,
     json.field("direct_ms", sweep.direct_ms);
     json.field("cached_ms", sweep.cached_ms);
     json.field("speedup", sweep.speedup());
+    json.end_object();
+    json.begin_object("eri_split");
+    json.field("workload", "water2/6-31g");
+    json.field("reps", split.reps);
+    const std::pair<const char*, const Spread*> layers[] = {
+        {"eri_ms", &split.eri_ms},
+        {"build_ms", &split.build_ms},
+        {"digest_ms", &split.digest_ms}};
+    for (const auto& [name, spread] : layers) {
+      json.begin_object(name);
+      json.field("median", spread->median);
+      json.field("q1", spread->q1);
+      json.field("q3", spread->q3);
+      json.end_object();
+    }
     json.end_object();
     json.begin_object("checks");
     json.field("max_abs_diff", max_diff);
@@ -419,6 +525,9 @@ int run_calibrate() {
 
   std::vector<std::vector<double>> features;  // [1, scan, nq, prim, prim_fn]
   std::vector<double> measured;
+  // Tasks that Schwarz screening empties measure dispatch + scan alone:
+  // the direct check of the fitted fixed terms.
+  std::vector<double> empty_task_ns;
 
   for (const Workload& w : workloads) {
     emc::core::TaskModelOptions opts;
@@ -432,6 +541,7 @@ int run_calibrate() {
       features.push_back({1.0, f.scan, f.quartets, f.prim_quartets,
                           f.prim_fn});
       measured.push_back(model.costs[t]);
+      if (f.quartets == 0.0) empty_task_ns.push_back(model.costs[t] * 1e9);
     }
     std::cout << w.molecule << "/" << w.basis << ": " << model.task_count()
               << " tasks measured\n";
@@ -440,9 +550,18 @@ int run_calibrate() {
   // Non-negative least squares (src/linalg/lstsq.hpp): active-set
   // elimination drops collinear or negative-weight features rather than
   // clamping, so the redistributed weight of a collinear feature (scan
-  // vs quartets) never strands in the intercept.
+  // vs quartets) never strands in the intercept. Each row is divided by
+  // its measured time, so the fit minimizes relative error: unweighted,
+  // the few largest tasks own the residual and the intercept soaks up
+  // their misfit (tens of microseconds of "dispatch" against the ~0.2 us
+  // a fully screened task measures).
   const std::size_t dim = 5;
-  const emc::linalg::LstsqResult fit = emc::linalg::nnls(features, measured);
+  std::vector<std::vector<double>> rows = features;
+  std::vector<double> ones(measured.size(), 1.0);
+  for (std::size_t t = 0; t < rows.size(); ++t) {
+    for (double& x : rows[t]) x /= measured[t];
+  }
+  const emc::linalg::LstsqResult fit = emc::linalg::nnls(rows, ones);
   const std::vector<double>& c = fit.coefficients;
   for (const std::size_t dropped : fit.dropped) {
     std::cout << "  (dropped non-resolvable feature " << dropped << ")\n";
@@ -468,6 +587,11 @@ int run_calibrate() {
     estimated.push_back(e / unit);
   }
   const auto report = emc::core::calibrate_cost_model(estimated, measured);
+  if (!empty_task_ns.empty()) {
+    std::cout << "fully screened tasks (" << empty_task_ns.size()
+              << "): median " << emc::percentile(empty_task_ns, 0.5)
+              << " ns measured, dispatch + scan\n";
+  }
   std::cout << "fit quality: pearson " << report.pearson << ", spearman "
             << report.spearman << ", scale " << report.scale << " s/unit ("
             << report.samples << " samples)\n";
@@ -478,7 +602,7 @@ int run_calibrate() {
 
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_kernel.json";
-  double min_speedup = 1.2;
+  double min_speedup = 3.0;
   std::int64_t seed = 12345;
   bool smoke = false, calibrate = false;
 

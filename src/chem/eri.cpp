@@ -1,6 +1,9 @@
 #include "chem/eri.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 
 #include "chem/constants.hpp"
 #include "chem/integrals.hpp"
@@ -24,101 +27,170 @@ constexpr double kTwoPiToFiveHalves = 34.986836655249725;
 /// demand and the 1e-10 Eh SCF reproducibility requirement.
 constexpr double kPrimQuartetPrune = 1e-17;
 
-/// Accumulates the UNNORMALIZED contracted quartet (ab|cd) of two cached
-/// pairs into `block`. Callers apply the per-component contracted norms
-/// they need (all of them for a full quartet; only the diagonal for the
-/// Schwarz bounds).
-void accumulate_quartet(const ShellPairData& bra, const ShellPairData& ket,
-                        EriBlock& block) {
-  const auto& ca = bra.comps_a;
-  const auto& cb = bra.comps_b;
-  const auto& cc_ = ket.comps_a;
-  const auto& cd = ket.comps_b;
-  const int lab = bra.la + bra.lb;
-  const int lcd = ket.la + ket.lb;
-  HermiteR rtuv(lab + lcd);
+/// One Hermite term E^{ab}_{tuv} = E^{ax bx}_t E^{ay by}_u E^{az bz}_v of a
+/// cartesian component pair (a, b).
+struct HermiteTerm {
+  std::uint16_t ex, ey, ez;  ///< flat indices into the pair's E tables
+  std::uint16_t r;           ///< HermiteR::offset(t, u, v)
+  std::uint16_t col;         ///< W column of (t, u, v)
+  double sign;               ///< (-1)^{t+u+v}, the ket side's parity
+};
 
-  for (const PrimitivePairData& bp : bra.prims) {
-    for (const PrimitivePairData& kp : ket.prims) {
+/// The Hermite terms of every component pair of one shell-pair class
+/// (la, lb). Only index lists: the E values come from each primitive
+/// pair's tables.
+struct PairClassTerms {
+  std::vector<HermiteTerm> terms;    ///< grouped by component pair a*nb + b
+  std::vector<std::uint32_t> first;  ///< pair ab owns [first[ab], first[ab+1])
+  /// One W column per (t, u, v) with t+u+v <= la+lb, t-major; the value
+  /// is the column's HermiteR offset.
+  std::vector<std::uint16_t> col_r;
+};
+
+PairClassTerms make_class_terms(int la, int lb) {
+  PairClassTerms pc;
+  const int lab = la + lb;
+  std::vector<int> col_of(HermiteR::offset(lab, lab, lab) + 1, -1);
+  for (int t = 0; t <= lab; ++t) {
+    for (int u = 0; t + u <= lab; ++u) {
+      for (int v = 0; t + u + v <= lab; ++v) {
+        const std::size_t r = HermiteR::offset(t, u, v);
+        col_of[r] = static_cast<int>(pc.col_r.size());
+        pc.col_r.push_back(static_cast<std::uint16_t>(r));
+      }
+    }
+  }
+  auto e = [la, lb](int i, int j, int t) {
+    return static_cast<std::uint16_t>(HermiteE::flat_index(la, lb, i, j, t));
+  };
+  for (const CartesianComponent& a : cartesian_components(la)) {
+    for (const CartesianComponent& b : cartesian_components(lb)) {
+      pc.first.push_back(static_cast<std::uint32_t>(pc.terms.size()));
+      for (int t = 0; t <= a.lx + b.lx; ++t) {
+        for (int u = 0; u <= a.ly + b.ly; ++u) {
+          for (int v = 0; v <= a.lz + b.lz; ++v) {
+            const std::size_t r = HermiteR::offset(t, u, v);
+            pc.terms.push_back(HermiteTerm{
+                e(a.lx, b.lx, t), e(a.ly, b.ly, u), e(a.lz, b.lz, v),
+                static_cast<std::uint16_t>(r),
+                static_cast<std::uint16_t>(col_of[r]),
+                (t + u + v) % 2 == 0 ? 1.0 : -1.0});
+          }
+        }
+      }
+    }
+  }
+  pc.first.push_back(static_cast<std::uint32_t>(pc.terms.size()));
+  return pc;
+}
+
+/// Process-wide, immutable after its thread-safe first use.
+const PairClassTerms& class_terms(int la, int lb) {
+  static const std::array<PairClassTerms, 9> table = [] {
+    std::array<PairClassTerms, 9> t;
+    for (int a = 0; a <= kMaxShellL; ++a) {
+      for (int b = 0; b <= kMaxShellL; ++b) {
+        t[static_cast<std::size_t>(a * 3 + b)] = make_class_terms(a, b);
+      }
+    }
+    return t;
+  }();
+  return table[static_cast<std::size_t>(la * 3 + lb)];
+}
+
+/// W capacity: 36 ket component pairs (d d) x 35 bra Hermite triples
+/// (t+u+v <= 4).
+constexpr std::size_t kMaxW = 36 * 35;
+
+}  // namespace
+
+void eri_shell_quartet(const ShellPairData& bra, const ShellPairData& ket,
+                       double* out) {
+  const PairClassTerms& bt = class_terms(bra.la, bra.lb);
+  const PairClassTerms& kt = class_terms(ket.la, ket.lb);
+  const std::size_t nab = bt.first.size() - 1;
+  const std::size_t ncd = kt.first.size() - 1;
+  const std::size_t ncol = bt.col_r.size();
+  const std::uint16_t* col_r = bt.col_r.data();
+  std::fill(out, out + nab * ncd, 0.0);
+
+  const std::size_t bra_ne = bra.e_size();
+  const std::size_t ket_ne = ket.e_size();
+
+  HermiteR rtuv(bra.la + bra.lb + ket.la + ket.lb);
+  std::array<double, kMaxW> w;
+  for (std::size_t ib = 0; ib < bra.prims.size(); ++ib) {
+    const PrimitivePairData& bp = bra.prims[ib];
+    bool any = false;
+    for (std::size_t ik = 0; ik < ket.prims.size(); ++ik) {
+      const PrimitivePairData& kp = ket.prims[ik];
       if (bp.bound * kp.bound < kPrimQuartetPrune) continue;
+      if (!any) std::fill(w.begin(), w.begin() + ncd * ncol, 0.0);
+      any = true;
       const double p = bp.p;
       const double q = kp.p;
-      const double alpha = p * q / (p + q);
       const Vec3 pq{bp.center[0] - kp.center[0],
                     bp.center[1] - kp.center[1],
                     bp.center[2] - kp.center[2]};
-      rtuv.recompute(alpha, pq);
-      const double pref = kTwoPiToFiveHalves * bp.coeff_over_p *
-                          kp.coeff_over_p / std::sqrt(p + q);
-
-      for (std::size_t ia = 0; ia < ca.size(); ++ia) {
-        for (std::size_t ib = 0; ib < cb.size(); ++ib) {
-          const auto& A = ca[ia];
-          const auto& B = cb[ib];
-          for (std::size_t ic = 0; ic < cc_.size(); ++ic) {
-            for (std::size_t id = 0; id < cd.size(); ++id) {
-              const auto& C = cc_[ic];
-              const auto& D = cd[id];
-              double sum = 0.0;
-              for (int t = 0; t <= A.lx + B.lx; ++t) {
-                const double et = bp.ex(A.lx, B.lx, t);
-                if (et == 0.0) continue;
-                for (int u = 0; u <= A.ly + B.ly; ++u) {
-                  const double eu = bp.ey(A.ly, B.ly, u);
-                  if (eu == 0.0) continue;
-                  for (int v = 0; v <= A.lz + B.lz; ++v) {
-                    const double ev = bp.ez(A.lz, B.lz, v);
-                    if (ev == 0.0) continue;
-                    double inner = 0.0;
-                    for (int tau = 0; tau <= C.lx + D.lx; ++tau) {
-                      const double ft = kp.ex(C.lx, D.lx, tau);
-                      if (ft == 0.0) continue;
-                      for (int nu = 0; nu <= C.ly + D.ly; ++nu) {
-                        const double fu = kp.ey(C.ly, D.ly, nu);
-                        if (fu == 0.0) continue;
-                        for (int phi = 0; phi <= C.lz + D.lz; ++phi) {
-                          const double fv = kp.ez(C.lz, D.lz, phi);
-                          if (fv == 0.0) continue;
-                          const double sign =
-                              ((tau + nu + phi) % 2 == 0) ? 1.0 : -1.0;
-                          inner += sign * ft * fu * fv *
-                                   rtuv(t + tau, u + nu, v + phi);
-                        }
-                      }
-                    }
-                    sum += et * eu * ev * inner;
-                  }
-                }
-              }
-              block(static_cast<int>(ia), static_cast<int>(ib),
-                    static_cast<int>(ic), static_cast<int>(id)) +=
-                  pref * sum;
-            }
+      rtuv.recompute(p * q / (p + q), pq);
+      const double pref =
+          kTwoPiToFiveHalves * kp.coeff_over_p / std::sqrt(p + q);
+      const double* ex = ket.prim_e(ik);
+      const double* ey = ex + ket_ne;
+      const double* ez = ey + ket_ne;
+      // W[cd][col] += sign E^cd_{tau nu phi} R(t+tau, u+nu, v+phi): the
+      // ket term's R offset plus each bra column's offset.
+      for (std::size_t cd = 0; cd < ncd; ++cd) {
+        double* wcd = w.data() + cd * ncol;
+        for (std::uint32_t i = kt.first[cd]; i < kt.first[cd + 1]; ++i) {
+          const HermiteTerm& term = kt.terms[i];
+          const double c =
+              pref * term.sign * ex[term.ex] * ey[term.ey] * ez[term.ez];
+          if (c == 0.0) continue;
+          const double* r = rtuv.data() + term.r;
+          for (std::size_t col = 0; col < ncol; ++col) {
+            wcd[col] += c * r[col_r[col]];
           }
+        }
+      }
+    }
+    if (!any) continue;
+    // (ab|cd) += E^ab_{tuv} W[cd][tuv], once per bra component pair.
+    const double* ex = bra.prim_e(ib);
+    const double* ey = ex + bra_ne;
+    const double* ez = ey + bra_ne;
+    for (std::size_t ab = 0; ab < nab; ++ab) {
+      double* o = out + ab * ncd;
+      for (std::uint32_t i = bt.first[ab]; i < bt.first[ab + 1]; ++i) {
+        const HermiteTerm& term = bt.terms[i];
+        const double e =
+            bp.coeff_over_p * ex[term.ex] * ey[term.ey] * ez[term.ez];
+        if (e == 0.0) continue;
+        const double* wc = w.data() + term.col;
+        for (std::size_t cd = 0; cd < ncd; ++cd) o[cd] += e * wc[cd * ncol];
+      }
+    }
+  }
+
+  // Per-component contracted normalization.
+  const std::size_t nc = ket.norm_a.size(), nd = ket.norm_b.size();
+  for (std::size_t ia = 0; ia < bra.norm_a.size(); ++ia) {
+    for (std::size_t ib = 0; ib < bra.norm_b.size(); ++ib) {
+      const double nab_norm = bra.norm_a[ia] * bra.norm_b[ib];
+      double* o = out + (ia * bra.norm_b.size() + ib) * ncd;
+      for (std::size_t ic = 0; ic < nc; ++ic) {
+        for (std::size_t id = 0; id < nd; ++id) {
+          o[ic * nd + id] *= nab_norm * ket.norm_a[ic] * ket.norm_b[id];
         }
       }
     }
   }
 }
 
-}  // namespace
-
 EriBlock eri_shell_quartet(const ShellPairData& bra,
                            const ShellPairData& ket) {
   EriBlock block(bra.na(), bra.nb(), ket.na(), ket.nb());
-  accumulate_quartet(bra, ket, block);
-  for (std::size_t ia = 0; ia < bra.norm_a.size(); ++ia) {
-    for (std::size_t ib = 0; ib < bra.norm_b.size(); ++ib) {
-      const double nab = bra.norm_a[ia] * bra.norm_b[ib];
-      for (std::size_t ic = 0; ic < ket.norm_a.size(); ++ic) {
-        for (std::size_t id = 0; id < ket.norm_b.size(); ++id) {
-          block(static_cast<int>(ia), static_cast<int>(ib),
-                static_cast<int>(ic), static_cast<int>(id)) *=
-              nab * ket.norm_a[ic] * ket.norm_b[id];
-        }
-      }
-    }
-  }
+  eri_shell_quartet(bra, ket, block.data());
   return block;
 }
 
@@ -255,17 +327,13 @@ linalg::Matrix schwarz_matrix(const ShellPairList& pairs) {
     for (std::size_t j = 0; j <= i; ++j) {
       const ShellPairData& pr =
           pairs.pair(static_cast<int>(i), static_cast<int>(j));
-      EriBlock raw(pr.na(), pr.nb(), pr.na(), pr.nb());
-      accumulate_quartet(pr, pr, raw);
-      // Only the (fa, fb, fa, fb) diagonal is read, so only it gets the
-      // contracted normalization (applied squared: bra and ket coincide).
+      std::array<double, kMaxQuartetSize> block;
+      eri_shell_quartet(pr, pr, block.data());
+      // Only the (fa, fb, fa, fb) diagonal is read.
+      const auto nab = static_cast<std::size_t>(pr.na() * pr.nb());
       double m = 0.0;
-      for (int fa = 0; fa < raw.na(); ++fa) {
-        for (int fb = 0; fb < raw.nb(); ++fb) {
-          const double nn = pr.norm_a[static_cast<std::size_t>(fa)] *
-                            pr.norm_b[static_cast<std::size_t>(fb)];
-          m = std::max(m, std::abs(raw(fa, fb, fa, fb)) * nn * nn);
-        }
+      for (std::size_t ab = 0; ab < nab; ++ab) {
+        m = std::max(m, std::abs(block[ab * nab + ab]));
       }
       q(i, j) = q(j, i) = std::sqrt(m);
     }

@@ -12,8 +12,17 @@
 // shell_pair.hpp): Hermite E tables, merged exponents, and weighted
 // centers are built once per shell pair and reused across every quartet,
 // and primitive quartets whose Schwarz-like bound product is negligible
-// (< 1e-17) are pruned. The seed kernel that rebuilt everything per call
-// is kept as eri_shell_quartet_direct — the reference/benchmark baseline.
+// (< 1e-17) are pruned. The kernel is factorized: for each bra primitive
+// pair it contracts the ket side into an intermediate
+//   W[cd][tuv] = sum over ket primitives, ket Hermite terms (tau nu phi)
+//                of (-1)^(tau+nu+phi) E^cd_{tau nu phi} R_{t+tau,u+nu,v+phi},
+// then applies the bra E-coefficients once per bra component pair. Term
+// index lists depend only on a pair's angular momenta and are built once
+// per process; R and W live in fixed-size stack buffers, so evaluating a
+// quartet into a caller's buffer allocates nothing. The seed kernel that
+// rebuilt everything per call and ran the six-deep Hermite sum per
+// component quadruple is kept as eri_shell_quartet_direct — the
+// reference/benchmark baseline.
 
 #include <cstddef>
 #include <vector>
@@ -41,6 +50,9 @@ class EriBlock {
     return data_[offset(a, b, c, d)];
   }
 
+  /// Row-major (a, b, c, d) storage, the layout eri_shell_quartet fills.
+  double* data() { return data_.data(); }
+
   int na() const { return na_; }
   int nb() const { return nb_; }
   int nc() const { return nc_; }
@@ -61,8 +73,18 @@ class EriBlock {
   std::vector<double> data_;
 };
 
-/// Computes the contracted, normalized quartet (ab|cd) from two cached
-/// shell pairs — the fast path every production caller uses.
+/// Doubles in the largest quartet block, (dd|dd): 6^4.
+inline constexpr std::size_t kMaxQuartetSize = 1296;
+
+/// Computes the contracted, normalized quartet (ab|cd) of two cached
+/// shell pairs into `out` — the fast path every production caller uses.
+/// `out` must hold bra.na()*bra.nb()*ket.na()*ket.nb() doubles (at most
+/// kMaxQuartetSize); they are written in EriBlock's (a, b, c, d)
+/// row-major order. Allocates nothing.
+void eri_shell_quartet(const ShellPairData& bra, const ShellPairData& ket,
+                       double* out);
+
+/// The same quartet returned as a block.
 EriBlock eri_shell_quartet(const ShellPairData& bra,
                            const ShellPairData& ket);
 

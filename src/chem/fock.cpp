@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <stdexcept>
 
 #include "chem/eri.hpp"
 
@@ -83,23 +84,23 @@ double FockBuilder::estimate_task_cost(const ShellPairTask& task) const {
   // Quartet cost model (in abstract flop units): a fixed dispatch cost,
   // a per-ket-pair screening-scan term, a per-quartet term (block setup,
   // digestion), a per-primitive-quartet term (Boys + HermiteR recurrence
-  // — the HermiteE tables are now amortized by the shell-pair cache),
-  // and a per-primitive-quartet-function term (the t/u/v contraction
-  // loops), which defines the unit. Constants re-fitted by least squares
-  // against wall-time measurements of the shell-pair-cached kernel
-  // (bench_kernel --calibrate; water/water2 in STO-3G, 6-31G, 6-31G* and
-  // alkane4/STO-3G, 534 tasks; non-negative active-set fit, Pearson 0.95
-  // / Spearman 0.98). Versus the seed kernel the prim-quartet weight
-  // collapsed (3.0 -> 0.43: tabulated Boys plus reused HermiteR
-  // workspace). Only the two primitive-scaling weights are resolvable
-  // from wall time; dispatch, scan, and per-quartet overheads sit below
-  // timer noise and keep nominal sub-resolution values (~100ns call
-  // overhead, ~2.5ns per screening lookup, ~250ns block setup + digest)
-  // so that screened-out tasks still carry their real, tiny cost floor.
-  constexpr double kPerQuartet = 5.0;
-  constexpr double kPerPrimQuartet = 0.43;
-  constexpr double kTaskDispatch = 2.0;
-  constexpr double kKetScanPerPair = 0.05;
+  // — the HermiteE tables are amortized by the shell-pair cache), and a
+  // per-primitive-quartet-function term (the Hermite contraction), which
+  // defines the unit. Constants fitted by non-negative least squares on
+  // relative error against wall-time measurements of the factorized
+  // kernel (bench_kernel --calibrate; water/water2 in STO-3G, 6-31G,
+  // 6-31G* and alkane4/STO-3G, 534 tasks; Pearson 0.98 / Spearman 0.98
+  // on a 4-core x86 host, where one unit measured ~9.7 ns). The
+  // factorization cut the per-function work, so the fixed and
+  // per-primitive terms weigh more than for the seed-era kernel (per
+  // quartet 5 -> 30, per primitive quartet 0.43 -> 4.5). All four terms
+  // are resolved by the relative fit; the ~70 ns dispatch plus ~3.7 ns
+  // per scanned ket pair are the same order as the ~0.2 us a fully
+  // screened task measures.
+  constexpr double kPerQuartet = 30.0;
+  constexpr double kPerPrimQuartet = 4.5;
+  constexpr double kTaskDispatch = 7.0;
+  constexpr double kKetScanPerPair = 0.38;
 
   const TaskCostFeatures f = task_cost_features(task);
   return kTaskDispatch + kKetScanPerPair * f.scan + kPerQuartet * f.quartets +
@@ -108,103 +109,79 @@ double FockBuilder::estimate_task_cost(const ShellPairTask& task) const {
 
 namespace {
 
-/// Digests quartet block (ij|kl) into J/K for every distinct index
-/// permutation of the 8-fold symmetry orbit.
-void digest_quartet(const Shell& si, const Shell& sj, const Shell& sk,
-                    const Shell& sl, const EriBlock& block,
+/// Digests the canonical quartet block (ij|kl) (i >= j, k >= l,
+/// rank(ij) >= rank(kl)) as the six standard J/K updates, each scaled by
+/// the size of the quartet's symmetry orbit. combine_jk symmetrizes J
+/// and K, which supplies the transposed updates. This is exact only for
+/// a symmetric density: the orbit members' terms are folded together
+/// using D(a, b) = D(b, a).
+void digest_quartet(const ShellPairData& bra, const ShellPairData& ket,
+                    bool bra_is_ket, const double* block,
                     const linalg::Matrix& density, linalg::Matrix& j_accum,
                     linalg::Matrix& k_accum) {
-  // Shell-level orbit of (i,j,k,l) under the 8 permutational symmetries.
-  struct Perm {
-    int shells[4];
-    // maps orbit-member function indices back to block indices
-    int order[4];
-  };
-  const int i = si.first_function, j = sj.first_function,
-            k = sk.first_function, l = sl.first_function;
-  const std::array<Perm, 8> orbit{{
-      {{i, j, k, l}, {0, 1, 2, 3}},
-      {{j, i, k, l}, {1, 0, 2, 3}},
-      {{i, j, l, k}, {0, 1, 3, 2}},
-      {{j, i, l, k}, {1, 0, 3, 2}},
-      {{k, l, i, j}, {2, 3, 0, 1}},
-      {{l, k, i, j}, {3, 2, 0, 1}},
-      {{k, l, j, i}, {2, 3, 1, 0}},
-      {{l, k, j, i}, {3, 2, 1, 0}},
-  }};
-
-  // Deduplicate orbit members that coincide (when shells repeat). Two
-  // members generate the same set of (mu,nu,la,sg) tuples iff their shell
-  // base offsets agree in all four slots: equal offsets mean the same
-  // shell, so the slot covers the same function range either way.
-  std::array<bool, 8> use{};
-  for (std::size_t m = 0; m < orbit.size(); ++m) {
-    use[m] = true;
-    for (std::size_t prev = 0; prev < m; ++prev) {
-      if (!use[prev]) continue;
-      const bool same = orbit[m].shells[0] == orbit[prev].shells[0] &&
-                        orbit[m].shells[1] == orbit[prev].shells[1] &&
-                        orbit[m].shells[2] == orbit[prev].shells[2] &&
-                        orbit[m].shells[3] == orbit[prev].shells[3];
-      if (same) {
-        use[m] = false;
-        break;
-      }
-    }
-  }
-
-  const int counts[4] = {block.na(), block.nb(), block.nc(), block.nd()};
-  for (std::size_t m = 0; m < orbit.size(); ++m) {
-    if (!use[m]) continue;
-    const Perm& perm = orbit[m];
-    // Function counts as seen in this permutation's slot order.
-    const int n0 = counts[perm.order[0]];
-    const int n1 = counts[perm.order[1]];
-    const int n2 = counts[perm.order[2]];
-    const int n3 = counts[perm.order[3]];
-    for (int f0 = 0; f0 < n0; ++f0) {
-      for (int f1 = 0; f1 < n1; ++f1) {
-        for (int f2 = 0; f2 < n2; ++f2) {
-          for (int f3 = 0; f3 < n3; ++f3) {
-            int fblock[4];
-            fblock[perm.order[0]] = f0;
-            fblock[perm.order[1]] = f1;
-            fblock[perm.order[2]] = f2;
-            fblock[perm.order[3]] = f3;
-            const double g =
-                block(fblock[0], fblock[1], fblock[2], fblock[3]);
-            if (g == 0.0) continue;
-            const auto mu = static_cast<std::size_t>(perm.shells[0] + f0);
-            const auto nu = static_cast<std::size_t>(perm.shells[1] + f1);
-            const auto la = static_cast<std::size_t>(perm.shells[2] + f2);
-            const auto sg = static_cast<std::size_t>(perm.shells[3] + f3);
-            // J(mu,nu) += P(la,sg) (mu nu|la sg)
-            j_accum(mu, nu) += density(la, sg) * g;
-            // K(mu,la) += P(nu,sg) (mu nu|la sg)
-            k_accum(mu, la) += density(nu, sg) * g;
-          }
+  const double deg = (bra.first_a != bra.first_b ? 2.0 : 1.0) *
+                     (ket.first_a != ket.first_b ? 2.0 : 1.0) *
+                     (bra_is_ket ? 1.0 : 2.0);
+  const double jscale = 0.5 * deg;
+  const double kscale = 0.25 * deg;
+  const std::size_t n = density.cols();
+  const double* d = density.data();
+  double* j = j_accum.data();
+  double* k = k_accum.data();
+  const auto na = static_cast<std::size_t>(bra.na());
+  const auto nb = static_cast<std::size_t>(bra.nb());
+  const auto nc = static_cast<std::size_t>(ket.na());
+  const auto nd = static_cast<std::size_t>(ket.nb());
+  for (std::size_t a = 0; a < na; ++a) {
+    const std::size_t mu = static_cast<std::size_t>(bra.first_a) + a;
+    for (std::size_t b = 0; b < nb; ++b) {
+      const std::size_t nu = static_cast<std::size_t>(bra.first_b) + b;
+      const double d_mn = jscale * d[mu * n + nu];
+      double j_mn = 0.0;
+      for (std::size_t c = 0; c < nc; ++c) {
+        const std::size_t la = static_cast<std::size_t>(ket.first_a) + c;
+        const double d_ml = kscale * d[mu * n + la];
+        const double d_nl = kscale * d[nu * n + la];
+        const double* g = block + ((a * nb + b) * nc + c) * nd;
+        double k_ml = 0.0, k_nl = 0.0;
+        for (std::size_t e = 0; e < nd; ++e) {
+          const std::size_t sg = static_cast<std::size_t>(ket.first_b) + e;
+          j_mn += d[la * n + sg] * g[e];    // J(mu,nu) += D(la,sg) g
+          j[la * n + sg] += d_mn * g[e];    // J(la,sg) += D(mu,nu) g
+          k_ml += d[nu * n + sg] * g[e];    // K(mu,la) += D(nu,sg) g
+          k[nu * n + sg] += d_ml * g[e];    // K(nu,sg) += D(mu,la) g
+          k[mu * n + sg] += d_nl * g[e];    // K(mu,sg) += D(nu,la) g
+          k_nl += d[mu * n + sg] * g[e];    // K(nu,la) += D(mu,sg) g
         }
+        k[mu * n + la] += kscale * k_ml;
+        k[nu * n + la] += kscale * k_nl;
       }
+      j[mu * n + nu] += jscale * j_mn;
     }
   }
 }
 
 }  // namespace
 
+void require_symmetric_density(const linalg::Matrix& density) {
+  if (!density.is_symmetric(1e-12 * density.max_abs())) {
+    throw std::invalid_argument(
+        "density is not square and symmetric: the Fock build needs "
+        "D = D^T");
+  }
+}
+
 void FockBuilder::execute_task(const ShellPairTask& task,
                                const linalg::Matrix& density,
                                linalg::Matrix& j_accum,
                                linalg::Matrix& k_accum) const {
-  const auto& shells = basis_->shells();
-  const Shell& si = shells[static_cast<std::size_t>(task.si)];
-  const Shell& sj = shells[static_cast<std::size_t>(task.sj)];
   const ShellPairData& bra = pairs_.pair(task.si, task.sj);
-
+  std::array<double, kMaxQuartetSize> block;
   for_each_ket_pair(task, [&](int k, int l) {
-    const Shell& sk = shells[static_cast<std::size_t>(k)];
-    const Shell& sl = shells[static_cast<std::size_t>(l)];
-    const EriBlock block = eri_shell_quartet(bra, pairs_.pair(k, l));
-    digest_quartet(si, sj, sk, sl, block, density, j_accum, k_accum);
+    const ShellPairData& ket = pairs_.pair(k, l);
+    eri_shell_quartet(bra, ket, block.data());
+    digest_quartet(bra, ket, pair_rank(k, l) == task.rank, block.data(),
+                   density, j_accum, k_accum);
   });
 }
 
@@ -224,6 +201,10 @@ linalg::Matrix FockBuilder::combine_jk(const linalg::Matrix& j_accum,
 
 linalg::Matrix FockBuilder::build_g(const linalg::Matrix& density) const {
   const auto n = static_cast<std::size_t>(basis_->function_count());
+  if (density.rows() != n || density.cols() != n) {
+    throw std::invalid_argument("build_g: density shape mismatch");
+  }
+  require_symmetric_density(density);
   linalg::Matrix j_accum(n, n), k_accum(n, n);
   for (const ShellPairTask& task : make_tasks()) {
     execute_task(task, density, j_accum, k_accum);

@@ -38,12 +38,18 @@ struct TaskCostFeatures {
   double scan = 0.0;           ///< ket pairs scanned (rank + 1)
 };
 
+/// Throws std::invalid_argument unless `density` is square and
+/// symmetric to 1e-12 relative to its largest element. The Fock build's
+/// digest is exact only for D = D^T.
+void require_symmetric_density(const linalg::Matrix& density);
+
 /// THREAD SAFETY: a FockBuilder is immutable after construction (pair
 /// cache + Schwarz matrix are materialized in the constructor) and its
 /// const methods are stateless per call — execute_task/build_g use only
-/// function-local scratch (the HermiteR workspace lives on the stack of
-/// each call) and the Boys table behind them is a thread-safe
-/// function-local static. Any number of threads may therefore run
+/// function-local scratch (the HermiteR table, the kernel's W
+/// intermediate and the quartet block live on the stack of each call)
+/// and the Boys table and Hermite term lists behind them are thread-safe
+/// function-local statics. Any number of threads may therefore run
 /// builds off ONE shared builder concurrently, each against its own
 /// accumulators; results are bitwise reproducible. This is the contract
 /// the serving layer's cross-request cache (serve::FockCache) and the
@@ -67,7 +73,11 @@ class FockBuilder {
   /// Executes one task: digests its quartets' J/K contributions against
   /// `density` (the total RHF density P) into `j_accum` and `k_accum`.
   /// Accumulators must be n x n; contributions are += so a caller may
-  /// merge partial results from many tasks.
+  /// merge partial results from many tasks. The density must be
+  /// symmetric: each quartet is applied as six updates that stand for
+  /// its whole symmetry orbit, and only combine_jk's symmetrization
+  /// completes J and K. Not checked here, per task; build entry points
+  /// check once (require_symmetric_density).
   void execute_task(const ShellPairTask& task, const linalg::Matrix& density,
                     linalg::Matrix& j_accum, linalg::Matrix& k_accum) const;
 
@@ -85,6 +95,8 @@ class FockBuilder {
   TaskCostFeatures task_cost_features(const ShellPairTask& task) const;
 
   /// Full G(P) = J - K/2 built by running every task sequentially.
+  /// Throws std::invalid_argument unless `density` is n x n and
+  /// symmetric (see execute_task).
   linalg::Matrix build_g(const linalg::Matrix& density) const;
 
   /// Combines J/K accumulators into G = J - K/2 and symmetrizes.

@@ -1,6 +1,9 @@
 #include "chem/integrals.hpp"
 
+#include <array>
 #include <cmath>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "chem/boys.hpp"
@@ -10,7 +13,7 @@ namespace emc::chem {
 
 HermiteE::HermiteE(int imax, int jmax, double a, double b, double ax,
                    double bx)
-    : imax_(imax), jmax_(jmax), tmax_(imax + jmax),
+    : imax_(imax), jmax_(jmax),
       table_(static_cast<std::size_t>(imax + 1) *
                  static_cast<std::size_t>(jmax + 1) *
                  static_cast<std::size_t>(imax + jmax + 1),
@@ -51,14 +54,12 @@ HermiteE::HermiteE(int imax, int jmax, double a, double b, double ax,
   }
 }
 
-HermiteR::HermiteR(int order)
-    : order_(order),
-      table_(static_cast<std::size_t>(order + 1) *
-                 static_cast<std::size_t>(order + 1) *
-                 static_cast<std::size_t>(order + 1),
-             0.0),
-      scratch_(table_.size(), 0.0),
-      fbuf_(static_cast<std::size_t>(order) + 1, 0.0) {}
+HermiteR::HermiteR(int order) : order_(order) {
+  if (order < 0 || order > kMaxOrder) {
+    throw std::invalid_argument(
+        "HermiteR: order must be in [0, 8] (shells up to d)");
+  }
+}
 
 HermiteR::HermiteR(int order, double p, const Vec3& pc, bool reference_boys)
     : HermiteR(order) {
@@ -68,67 +69,50 @@ HermiteR::HermiteR(int order, double p, const Vec3& pc, bool reference_boys)
 void HermiteR::recompute(double p, const Vec3& pc, bool reference_boys) {
   const int order = order_;
   const double r2 = pc[0] * pc[0] + pc[1] * pc[1] + pc[2] * pc[2];
+  std::array<double, kMaxOrder + 1> fbuf;
+  const std::span<double> f(fbuf.data(), static_cast<std::size_t>(order) + 1);
   if (reference_boys) {
-    boys_reference(p * r2, fbuf_);
+    boys_reference(p * r2, f);
   } else {
-    boys(p * r2, fbuf_);
+    boys(p * r2, f);
   }
-
-  // aux[n] holds R^n_{tuv} for t+u+v <= order - n; build n downward,
-  // ping-ponging between scratch_ (the level being filled) and table_
-  // (the level above it). The loop runs an odd number of swaps, so the
-  // final level n = 0 always lands in table_.
-  const auto n1 = static_cast<std::size_t>(order + 1);
-  auto idx = [n1](int t, int u, int v) {
-    return (static_cast<std::size_t>(t) * n1 + static_cast<std::size_t>(u)) *
-               n1 +
-           static_cast<std::size_t>(v);
-  };
-
-  std::vector<double>& next = table_;
-  std::vector<double>& cur = scratch_;
-  std::fill(next.begin(), next.end(), 0.0);
-  // Scale in place: fbuf_[n] becomes R^n_{000} = (-2p)^n F_n.
+  // Scale in place: f[n] becomes R^n_{000} = (-2p)^n F_n.
   double minus2p_pow = 1.0;
   for (int n = 0; n <= order; ++n) {
-    fbuf_[static_cast<std::size_t>(n)] *= minus2p_pow;
+    f[static_cast<std::size_t>(n)] *= minus2p_pow;
     minus2p_pow *= -2.0 * p;
   }
 
+  // Level n holds R^n_{tuv} for t+u+v <= order - n; build n downward in
+  // the one table. An entry of total T at level n reads level n+1's
+  // entries of totals T-1 and T-2, so filling T from high to low
+  // overwrites each level-(n+1) entry only after its last reader. Every
+  // entry read was written at the level above, so nothing is zeroed.
+  double* r = table_.data();
   for (int n = order; n >= 0; --n) {
-    std::fill(cur.begin(), cur.end(), 0.0);
-    cur[idx(0, 0, 0)] = fbuf_[static_cast<std::size_t>(n)];
-    const int budget = order - n;
-    // Fill increasing total order so dependencies (one index lower, read
-    // from `next` = level n+1) are available.
-    for (int total = 1; total <= budget; ++total) {
+    for (int total = order - n; total >= 1; --total) {
       for (int t = 0; t <= total; ++t) {
         for (int u = 0; u + t <= total; ++u) {
           const int v = total - t - u;
           double val = 0.0;
           if (t > 0) {
-            val = (t > 1 ? static_cast<double>(t - 1) *
-                               next[idx(t - 2, u, v)]
+            val = (t > 1 ? static_cast<double>(t - 1) * r[offset(t - 2, u, v)]
                          : 0.0) +
-                  pc[0] * next[idx(t - 1, u, v)];
+                  pc[0] * r[offset(t - 1, u, v)];
           } else if (u > 0) {
-            val = (u > 1 ? static_cast<double>(u - 1) *
-                               next[idx(t, u - 2, v)]
+            val = (u > 1 ? static_cast<double>(u - 1) * r[offset(t, u - 2, v)]
                          : 0.0) +
-                  pc[1] * next[idx(t, u - 1, v)];
+                  pc[1] * r[offset(t, u - 1, v)];
           } else {  // v > 0
-            val = (v > 1 ? static_cast<double>(v - 1) *
-                               next[idx(t, u, v - 2)]
+            val = (v > 1 ? static_cast<double>(v - 1) * r[offset(t, u, v - 2)]
                          : 0.0) +
-                  pc[2] * next[idx(t, u, v - 1)];
+                  pc[2] * r[offset(t, u, v - 1)];
           }
-          cur[idx(t, u, v)] = val;
+          r[offset(t, u, v)] = val;
         }
       }
     }
-    // The just-filled level becomes "next" for level n-1; after the
-    // final iteration this leaves level 0 in table_.
-    std::swap(cur, next);
+    r[0] = f[static_cast<std::size_t>(n)];
   }
 }
 

@@ -5,6 +5,7 @@
 // products of Gaussians are expanded in Hermite Gaussians whose moments
 // and Coulomb integrals obey simple recurrences.
 
+#include <array>
 #include <vector>
 
 #include "chem/basis.hpp"
@@ -26,55 +27,69 @@ class HermiteE {
     return table_[index(i, j, t)];
   }
 
- private:
-  std::size_t index(int i, int j, int t) const {
-    return (static_cast<std::size_t>(i) * static_cast<std::size_t>(jmax_ + 1) +
+  /// Flat table; E_t^{ij} is at flat_index(imax, jmax, i, j, t).
+  const double* data() const { return table_.data(); }
+
+  /// Position of E_t^{ij} in the table of an (imax, jmax) expansion. It
+  /// depends only on the angular momenta, so index lists can be built
+  /// once per shell-pair class.
+  static std::size_t flat_index(int imax, int jmax, int i, int j, int t) {
+    return (static_cast<std::size_t>(i) * static_cast<std::size_t>(jmax + 1) +
             static_cast<std::size_t>(j)) *
-               static_cast<std::size_t>(tmax_ + 1) +
+               static_cast<std::size_t>(imax + jmax + 1) +
            static_cast<std::size_t>(t);
   }
 
-  int imax_, jmax_, tmax_;
+ private:
+  std::size_t index(int i, int j, int t) const {
+    return flat_index(imax_, jmax_, i, j, t);
+  }
+
+  int imax_, jmax_;
   std::vector<double> table_;
 };
 
-/// Hermite Coulomb integrals R^0_{tuv}(p, PC) for t+u+v <= order.
-/// Flat accessor: r(t, u, v).
+/// Hermite Coulomb integrals R^0_{tuv}(p, PC) for t+u+v <= order, up to
+/// order 8, the (dd|dd) class.
 ///
-/// The order is fixed at construction but the (p, PC) arguments can be
-/// re-evaluated in place via `recompute`, so a quartet kernel keeps ONE
-/// instance alive across its whole primitive loop instead of paying
-/// three heap allocations per primitive quartet.
+/// The table is a fixed-stride cube held in the object, so a HermiteR on
+/// the stack allocates nothing. Because the stride does not depend on
+/// the order, offset(t+tau, u+nu, v+phi) = offset(t, u, v) +
+/// offset(tau, nu, phi): a quartet kernel can add a ket term's offset to
+/// a bra term's. Only the entries with t+u+v <= order are defined.
 class HermiteR {
  public:
-  /// Allocates workspace for the given order without computing anything;
-  /// call `recompute` before reading.
+  static constexpr int kMaxOrder = 8;
+  static constexpr int kStride = kMaxOrder + 1;
+
+  static constexpr std::size_t offset(int t, int u, int v) {
+    return (static_cast<std::size_t>(t) * kStride +
+            static_cast<std::size_t>(u)) *
+               kStride +
+           static_cast<std::size_t>(v);
+  }
+
+  /// Fixes the order without computing anything; call `recompute` before
+  /// reading. Throws std::invalid_argument unless 0 <= order <= 8.
   explicit HermiteR(int order);
 
-  /// Convenience: allocate and evaluate in one step. `reference_boys`
-  /// selects the slow series Boys evaluation (the seed kernel's path,
-  /// kept for benchmarking old-vs-new and as a test oracle).
+  /// Convenience: fix the order and evaluate in one step.
+  /// `reference_boys` selects the slow series Boys evaluation (the seed
+  /// kernel's path, kept for benchmarking old-vs-new and as a test
+  /// oracle).
   HermiteR(int order, double p, const Vec3& pc, bool reference_boys = false);
 
   /// Re-evaluates the table for new (p, PC) at the fixed order.
   void recompute(double p, const Vec3& pc, bool reference_boys = false);
 
   double operator()(int t, int u, int v) const {
-    return table_[index(t, u, v)];
+    return table_[offset(t, u, v)];
   }
+  const double* data() const { return table_.data(); }
 
  private:
-  std::size_t index(int t, int u, int v) const {
-    const auto n = static_cast<std::size_t>(order_ + 1);
-    return (static_cast<std::size_t>(t) * n + static_cast<std::size_t>(u)) *
-               n +
-           static_cast<std::size_t>(v);
-  }
-
   int order_;
-  std::vector<double> table_;    ///< result level (n = 0)
-  std::vector<double> scratch_;  ///< second ping-pong buffer
-  std::vector<double> fbuf_;     ///< Boys values F_0..F_order
+  std::array<double, kStride * kStride * kStride> table_;
 };
 
 /// Overlap matrix S over all basis functions.

@@ -1,8 +1,10 @@
 #include "chem/shell_pair.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "chem/constants.hpp"
+#include "chem/integrals.hpp"
 
 namespace emc::chem {
 
@@ -14,6 +16,10 @@ constexpr double kTwoPiToFiveHalves = 34.986836655249725;
 }  // namespace
 
 ShellPairData make_shell_pair(const Shell& sa, const Shell& sb) {
+  if (sa.l < 0 || sa.l > kMaxShellL || sb.l < 0 || sb.l > kMaxShellL) {
+    throw std::invalid_argument(
+        "make_shell_pair: shells above d (l > 2) are not supported");
+  }
   ShellPairData pair;
   pair.la = sa.l;
   pair.lb = sb.l;
@@ -36,7 +42,9 @@ ShellPairData make_shell_pair(const Shell& sa, const Shell& sb) {
   const double dz = sa.center[2] - sb.center[2];
   const double ab2 = dx * dx + dy * dy + dz * dz;
 
-  pair.prims.reserve(sa.exponents.size() * sb.exponents.size());
+  const std::size_t n_prims = sa.exponents.size() * sb.exponents.size();
+  pair.prims.reserve(n_prims);
+  pair.hermite_e.reserve(3 * n_prims * pair.e_size());
   for (std::size_t i = 0; i < sa.exponents.size(); ++i) {
     const double a = sa.exponents[i];
     for (std::size_t j = 0; j < sb.exponents.size(); ++j) {
@@ -53,11 +61,12 @@ ShellPairData make_shell_pair(const Shell& sa, const Shell& sb) {
                            std::sqrt(kTwoPiToFiveHalves /
                                      (p * p * std::sqrt(2.0 * p)));
       pair.max_bound = std::max(pair.max_bound, bound);
-      pair.prims.push_back(PrimitivePairData{
-          p, coeff / p, center, bound,
-          HermiteE(sa.l, sb.l, a, b, sa.center[0], sb.center[0]),
-          HermiteE(sa.l, sb.l, a, b, sa.center[1], sb.center[1]),
-          HermiteE(sa.l, sb.l, a, b, sa.center[2], sb.center[2])});
+      pair.prims.push_back(PrimitivePairData{p, coeff / p, center, bound});
+      for (int x = 0; x < 3; ++x) {
+        const HermiteE e(sa.l, sb.l, a, b, sa.center[x], sb.center[x]);
+        pair.hermite_e.insert(pair.hermite_e.end(), e.data(),
+                              e.data() + pair.e_size());
+      }
     }
   }
   return pair;

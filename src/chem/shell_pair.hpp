@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "chem/basis.hpp"
-#include "chem/integrals.hpp"
 
 namespace emc::chem {
 
@@ -40,7 +39,6 @@ struct PrimitivePairData {
   /// two pairs' bounds upper-bounds their s-type primitive quartet and is
   /// used to prune negligible primitive quartets.
   double bound;
-  HermiteE ex, ey, ez;  ///< per-dimension Hermite expansion tables
 };
 
 /// Everything eri_shell_quartet needs from a (bra or ket) shell pair,
@@ -51,14 +49,32 @@ struct ShellPairData {
   std::vector<CartesianComponent> comps_a, comps_b;
   std::vector<double> norm_a, norm_b;  ///< per-component contracted norms
   std::vector<PrimitivePairData> prims;
+  /// Hermite expansion tables E^{ij}_t of every primitive pair in one
+  /// buffer: for prims[k], the x, y and z tables of e_size() doubles
+  /// each start at 3 * k * e_size(), laid out by
+  /// HermiteE::flat_index(la, lb, i, j, t).
+  std::vector<double> hermite_e;
   double max_bound = 0.0;  ///< max over the primitive pairs' bounds
 
   int na() const { return static_cast<int>(comps_a.size()); }
   int nb() const { return static_cast<int>(comps_b.size()); }
+  std::size_t e_size() const {
+    return static_cast<std::size_t>((la + 1) * (lb + 1) * (la + lb + 1));
+  }
+  /// The x table of prims[k]; y and z follow at + e_size() and
+  /// + 2 * e_size().
+  const double* prim_e(std::size_t k) const {
+    return hermite_e.data() + 3 * k * e_size();
+  }
 };
 
+/// Highest shell angular momentum the ERI kernel supports (d shells,
+/// where the basis library tops out).
+inline constexpr int kMaxShellL = 2;
+
 /// Builds the cached pair record for two shells (order matters: `a` is
-/// the row/bra-left shell).
+/// the row/bra-left shell). Throws std::invalid_argument for a shell
+/// above kMaxShellL.
 ShellPairData make_shell_pair(const Shell& a, const Shell& b);
 
 /// All canonical shell pairs (i >= j) of a basis set, indexed by

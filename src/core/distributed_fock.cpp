@@ -274,6 +274,7 @@ linalg::Matrix DistributedFockBuilder::build_g(
   if (density.rows() != n || density.cols() != n) {
     throw std::invalid_argument("build_g: density shape mismatch");
   }
+  chem::require_symmetric_density(density);
   const int ranks = runtime_->size();
 
   // Publish the density; ranks will fetch it one-sided.

@@ -140,7 +140,9 @@ class DistributedFockBuilder {
   /// Builds G(P) = J - K/2 with the configured execution model. The
   /// density is published to a GlobalArray, ranks fetch it one-sided,
   /// execute their tasks ranks × threads, tree-reduce per rank, and
-  /// accumulate the rank partials back one-sided.
+  /// accumulate the rank partials back one-sided. Throws
+  /// std::invalid_argument unless `density` is n x n and symmetric (see
+  /// chem::FockBuilder::execute_task).
   linalg::Matrix build_g(const linalg::Matrix& density);
 
   /// Adapter for chem::run_rhf_with_builder.

@@ -41,9 +41,12 @@ struct TaskModelOptions {
   /// the analytic estimate scaled to ~seconds.
   bool measure_costs = false;
   /// Analytic cost scale: estimated flop units are multiplied by this to
-  /// produce simulated seconds (default calibrated to the shell-pair
-  /// cached ERI kernel's fitted ~55ns per primitive-quartet-function
-  /// unit; see bench_kernel --calibrate).
+  /// produce simulated seconds. The default is the simulated machine's
+  /// per-unit cost: the ~53 ns per primitive-quartet-function unit fitted
+  /// to the shell-pair-cached kernel before its factorization. It stays
+  /// fixed across kernel rewrites so simulated seconds remain on one
+  /// scale; bench_kernel --calibrate reports the current kernel's unit
+  /// (~9.7 ns on a 4-core x86 host).
   double analytic_cost_scale = 5.3e-8;
 };
 

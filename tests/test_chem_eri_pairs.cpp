@@ -1,12 +1,16 @@
 // Shell-pair-cached ERI engine tests: the cached kernel must reproduce
 // the direct (seed) kernel to near machine precision on randomized
-// quartets, the tabulated Boys function must match the series reference,
-// and the canonical-quartet full_eri_tensor must be bitwise 8-fold
-// symmetric while agreeing with the legacy all-quartets fill.
+// quartets of every class up to (dd|dd) and on the edge cases (coincident
+// centers, extreme exponent ratios, deep contractions), the tabulated
+// Boys function must match the series reference, and the canonical-
+// quartet full_eri_tensor must be bitwise 8-fold symmetric while agreeing
+// with the legacy all-quartets fill.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "chem/basis.hpp"
@@ -63,6 +67,140 @@ TEST(ShellPairEriTest, CachedMatchesDirectOnRandomQuartets) {
     const EriBlock cached = eri_shell_quartet(a, b, c, d);
     EXPECT_LT(max_block_diff(direct, cached), 1e-12) << "trial " << trial;
   }
+}
+
+/// A shell of angular momentum `l` at `center` with `nprim` primitives
+/// whose exponents are log-uniform in [lo, hi].
+Shell shell_at(emc::Rng& rng, int l, const Vec3& center, int nprim,
+               double lo, double hi) {
+  Shell s;
+  s.l = l;
+  s.center = center;
+  for (int i = 0; i < nprim; ++i) {
+    const double a = std::exp(rng.uniform(std::log(lo), std::log(hi)));
+    const double c =
+        rng.uniform(0.2, 1.2) * (rng.uniform() < 0.5 ? -1.0 : 1.0);
+    s.exponents.push_back(a);
+    s.coefficients.push_back(c * primitive_norm(a, l, 0, 0));
+  }
+  return s;
+}
+
+Vec3 random_center(emc::Rng& rng) {
+  return {rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
+          rng.uniform(-2.0, 2.0)};
+}
+
+/// The cached kernel skips primitive quartets whose bound product is
+/// below 1e-17 (kPrimQuartetPrune in eri.cpp). That is an absolute
+/// error, so a block far below unit size cannot meet a purely relative
+/// tolerance; this floor covers the skipped terms of one quartet.
+constexpr double kPruneFloor = 1e-15;
+
+/// Cached vs direct on one quartet: max |diff| <= 1e-13 max |block|,
+/// plus the pruning floor.
+::testing::AssertionResult cached_matches_direct(const Shell& a,
+                                                 const Shell& b,
+                                                 const Shell& c,
+                                                 const Shell& d) {
+  const EriBlock direct = eri_shell_quartet_direct(a, b, c, d);
+  const double diff = max_block_diff(direct, eri_shell_quartet(a, b, c, d));
+  if (diff <= 1e-13 * direct.max_abs() + kPruneFloor) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "max |diff| " << diff << " for max |block| " << direct.max_abs();
+}
+
+/// Runs `make(la, lb, lc, ld)` for every (la lb|lc ld) class up to
+/// (dd|dd) and checks the cached kernel against the direct one.
+template <typename MakeQuartet>
+void expect_every_class_matches_direct(MakeQuartet&& make) {
+  for (int la = 0; la <= 2; ++la) {
+    for (int lb = 0; lb <= 2; ++lb) {
+      for (int lc = 0; lc <= 2; ++lc) {
+        for (int ld = 0; ld <= 2; ++ld) {
+          const std::array<Shell, 4> q = make(la, lb, lc, ld);
+          EXPECT_TRUE(cached_matches_direct(q[0], q[1], q[2], q[3]))
+              << "class (" << la << lb << "|" << lc << ld << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(ShellPairEriTest, EveryClassMatchesDirectOnRandomQuartets) {
+  emc::Rng rng(20261017);
+  for (int trial = 0; trial < 2; ++trial) {
+    expect_every_class_matches_direct([&](int la, int lb, int lc, int ld) {
+      auto shell = [&](int l) {
+        return shell_at(rng, l, random_center(rng),
+                        static_cast<int>(rng.range(1, 3)), 0.1, 60.0);
+      };
+      return std::array<Shell, 4>{shell(la), shell(lb), shell(lc),
+                                  shell(ld)};
+    });
+  }
+}
+
+TEST(ShellPairEriTest, CoincidentCentersMatchDirect) {
+  emc::Rng rng(31);
+  // A = B on the bra side, C and D apart.
+  expect_every_class_matches_direct([&](int la, int lb, int lc, int ld) {
+    const Vec3 ab = random_center(rng);
+    return std::array<Shell, 4>{shell_at(rng, la, ab, 2, 0.1, 60.0),
+                                shell_at(rng, lb, ab, 2, 0.1, 60.0),
+                                shell_at(rng, lc, random_center(rng), 2,
+                                         0.1, 60.0),
+                                shell_at(rng, ld, random_center(rng), 2,
+                                         0.1, 60.0)};
+  });
+  // A = B = C = D: PQ = 0, so every odd Hermite R vanishes.
+  expect_every_class_matches_direct([&](int la, int lb, int lc, int ld) {
+    const Vec3 x = random_center(rng);
+    return std::array<Shell, 4>{shell_at(rng, la, x, 2, 0.1, 60.0),
+                                shell_at(rng, lb, x, 2, 0.1, 60.0),
+                                shell_at(rng, lc, x, 2, 0.1, 60.0),
+                                shell_at(rng, ld, x, 2, 0.1, 60.0)};
+  });
+}
+
+TEST(ShellPairEriTest, ExtremeExponentRatiosMatchDirect) {
+  // Exponents from 1e-2 to 1e4 within one quartet: a diffuse shell
+  // against a core-tight one, plus two shells spanning the whole range.
+  emc::Rng rng(10000);
+  expect_every_class_matches_direct([&](int la, int lb, int lc, int ld) {
+    return std::array<Shell, 4>{
+        shell_at(rng, la, random_center(rng), 1, 1e-2, 1e-2),
+        shell_at(rng, lb, random_center(rng), 1, 1e4, 1e4),
+        shell_at(rng, lc, random_center(rng), 3, 1e-2, 1e4),
+        shell_at(rng, ld, random_center(rng), 3, 1e-2, 1e4)};
+  });
+}
+
+TEST(ShellPairEriTest, SixPrimitiveContractionsMatchDirect) {
+  emc::Rng rng(6);
+  for (const std::array<int, 4> l :
+       {std::array<int, 4>{0, 0, 0, 0}, std::array<int, 4>{1, 0, 1, 1},
+        std::array<int, 4>{2, 1, 0, 2}, std::array<int, 4>{2, 2, 2, 2}}) {
+    auto shell = [&](int li) {
+      return shell_at(rng, li, random_center(rng), 6, 0.05, 500.0);
+    };
+    const Shell a = shell(l[0]), b = shell(l[1]), c = shell(l[2]),
+                d = shell(l[3]);
+    EXPECT_TRUE(cached_matches_direct(a, b, c, d))
+        << "class (" << l[0] << l[1] << "|" << l[2] << l[3] << ")";
+  }
+}
+
+TEST(ShellPairEriTest, ShellsAboveDAreRejected) {
+  // The kernel's stack buffers are sized for (dd|dd).
+  emc::Rng rng(3);
+  const Shell f = shell_at(rng, 3, random_center(rng), 1, 0.5, 0.5);
+  const Shell d = shell_at(rng, 2, random_center(rng), 1, 0.5, 0.5);
+  EXPECT_THROW(make_shell_pair(f, d), std::invalid_argument);
+  EXPECT_THROW(make_shell_pair(d, f), std::invalid_argument);
+  EXPECT_NO_THROW(make_shell_pair(d, d));
 }
 
 TEST(ShellPairEriTest, CachedPairsAreReusableAcrossQuartets) {

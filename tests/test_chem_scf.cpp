@@ -174,45 +174,65 @@ TEST(FockBuilderTest, TaskSumMatchesMonolithicBuild) {
 }
 
 TEST(FockBuilderTest, GMatrixMatchesDenseTensorContraction) {
-  // G built from shell quartets with 8-fold symmetry must equal the naive
-  // contraction of the full ERI tensor.
+  // G built from canonical shell quartets must equal the naive
+  // contraction of the full ERI tensor. Unscreened, the build digests
+  // every canonical quartet, including those with i = j, k = l or
+  // ij = kl, whose symmetry orbits have fewer than 8 members; 6-31G*
+  // adds d shells.
   const Molecule mol = make_water();
-  const BasisSet basis = BasisSet::build(mol, "sto-3g");
-  const FockBuilder builder(basis, /*screen=*/0.0);
-  const auto n = static_cast<std::size_t>(basis.function_count());
+  for (const char* basis_name : {"sto-3g", "6-31g*"}) {
+    const BasisSet basis = BasisSet::build(mol, basis_name);
+    const FockBuilder builder(basis, /*screen=*/0.0);
+    const auto n = static_cast<std::size_t>(basis.function_count());
 
-  Matrix density(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      density(i, j) = ((i * 7 + j * 3) % 5) * 0.05 + (i == j ? 0.8 : 0.0);
-    }
-  }
-  // Symmetrize: RHF densities are symmetric and the builder assumes it.
-  Matrix sym = density;
-  sym += density.transposed();
-  sym *= 0.5;
-
-  const Matrix g = builder.build_g(sym);
-
-  const auto eri = full_eri_tensor(basis);
-  const auto idx = [n](std::size_t i, std::size_t j, std::size_t k,
-                       std::size_t l) {
-    return ((i * n + j) * n + k) * n + l;
-  };
-  Matrix expected(n, n);
-  for (std::size_t mu = 0; mu < n; ++mu) {
-    for (std::size_t nu = 0; nu < n; ++nu) {
-      double s = 0.0;
-      for (std::size_t la = 0; la < n; ++la) {
-        for (std::size_t sg = 0; sg < n; ++sg) {
-          s += sym(la, sg) * (eri[idx(mu, nu, la, sg)] -
-                              0.5 * eri[idx(mu, la, nu, sg)]);
-        }
+    Matrix density(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        density(i, j) =
+            ((i * 7 + j * 3) % 5) * 0.05 + (i == j ? 0.8 : 0.0);
       }
-      expected(mu, nu) = s;
     }
+    // Symmetrize: RHF densities are symmetric and the builder needs it.
+    Matrix sym = density;
+    sym += density.transposed();
+    sym *= 0.5;
+
+    const Matrix g = builder.build_g(sym);
+
+    const auto eri = full_eri_tensor(basis);
+    const auto idx = [n](std::size_t i, std::size_t j, std::size_t k,
+                         std::size_t l) {
+      return ((i * n + j) * n + k) * n + l;
+    };
+    Matrix expected(n, n);
+    for (std::size_t mu = 0; mu < n; ++mu) {
+      for (std::size_t nu = 0; nu < n; ++nu) {
+        double s = 0.0;
+        for (std::size_t la = 0; la < n; ++la) {
+          for (std::size_t sg = 0; sg < n; ++sg) {
+            s += sym(la, sg) * (eri[idx(mu, nu, la, sg)] -
+                                0.5 * eri[idx(mu, la, nu, sg)]);
+          }
+        }
+        expected(mu, nu) = s;
+      }
+    }
+    EXPECT_TRUE(g.almost_equal(expected, 1e-12)) << basis_name;
   }
-  EXPECT_TRUE(g.almost_equal(expected, 1e-10));
+}
+
+TEST(FockBuilderTest, BuildGRejectsAsymmetricDensity) {
+  const BasisSet basis = BasisSet::build(make_water(), "sto-3g");
+  const FockBuilder builder(basis);
+  const auto n = static_cast<std::size_t>(basis.function_count());
+  Matrix density(n, n);
+  for (std::size_t i = 0; i < n; ++i) density(i, i) = 1.0;
+  density(2, 5) = 0.25;
+  EXPECT_THROW(builder.build_g(density), std::invalid_argument);
+  // Symmetric to 1e-12 relative still builds.
+  density(5, 2) = 0.25 * (1.0 + 1e-14);
+  EXPECT_NO_THROW(builder.build_g(density));
+  EXPECT_THROW(builder.build_g(Matrix(n, n + 1)), std::invalid_argument);
 }
 
 TEST(FockBuilderTest, QuartetCountsDecreaseWithScreening) {

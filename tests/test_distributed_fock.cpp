@@ -140,6 +140,17 @@ TEST_F(DistributedFockTest, RejectsWrongDensityShape) {
                std::invalid_argument);
 }
 
+TEST_F(DistributedFockTest, RejectsAsymmetricDensity) {
+  // The digest folds each quartet's symmetry orbit assuming D = D^T.
+  pgas::Runtime runtime(2);
+  DistributedFockBuilder builder(basis, runtime);
+  const auto n = static_cast<std::size_t>(basis.function_count());
+  linalg::Matrix density(n, n);
+  for (std::size_t i = 0; i < n; ++i) density(i, i) = 1.0;
+  density(0, 1) = 1e-9;
+  EXPECT_THROW(builder.build_g(density), std::invalid_argument);
+}
+
 TEST_F(DistributedFockTest, FaultInjectedBuildIsBitwiseIdentical) {
   // Faults cost time, never accuracy: with task re-execution and
   // dropped/retried one-sided ops switched on, the G matrix must equal
@@ -414,8 +425,8 @@ struct PinnedCell {
 
 // Water/STO-3G, make_density(), lpt balancer. Every static cell at a
 // given rank count shares one G; so do the 1-rank dynamic cells.
-constexpr std::uint64_t kClean1 = 0x3c4a1c20feb63b9cULL;  // 1 rank
-constexpr std::uint64_t kClean2 = 0x08a02cffcf13094cULL;  // 2 ranks
+constexpr std::uint64_t kClean1 = 0x86ec6ac4edc0e2d0ULL;  // 1 rank
+constexpr std::uint64_t kClean2 = 0x1c9308266e9cdd45ULL;  // 2 ranks
 constexpr std::int64_t kFaultReexecs = 6;
 
 std::vector<PinnedCell> pinned_cells() {
