@@ -1,6 +1,6 @@
 #pragma once
 
-// Shared helpers for the experiment benches: standard workloads, the
+// Shared helpers for the experiment benches: machine setup, the
 // header every bench prints so runs are self-describing and replayable,
 // and (via manifest.hpp) the provenance envelope + run footer every
 // artifact-emitting bench stamps into its BENCH_*.json report.
@@ -47,14 +47,11 @@ inline bool has_flag(int argc, char** argv, const std::string& flag) {
   return std::find(argv + 1, argv + argc, flag) != argv + argc;
 }
 
-/// Standard workload for cluster-scale simulations: a 27-molecule water
-/// cluster (135 shells, 9180 shell-pair tasks) — large enough for 1024
-/// simulated procs, small enough to build in seconds.
-inline core::TaskModel standard_workload(
-    const std::string& name = "water27") {
-  core::TaskModelOptions options;
-  options.basis_name = "sto-3g";
-  return core::build_task_model(name, options);
+/// Keeps `value`, and the work that produced it, from being optimized
+/// away: an empty asm that reads it from memory and clobbers memory.
+template <typename T>
+inline void do_not_optimize(const T& value) {
+  asm volatile("" : : "m"(value) : "memory");
 }
 
 inline void print_header(const std::string& experiment,

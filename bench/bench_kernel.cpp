@@ -1,10 +1,10 @@
-// Kernel microbenchmarks plus the kernel's recorded perf artifacts: the
-// raw chemistry substrate that generates the task costs — ERI quartets,
-// Schwarz screening, and Fock-build sweeps. These calibrate the
-// simulator's cost scale and guard the hot path against regressions.
+// The kernel's recorded perf artifacts: the raw chemistry substrate that
+// generates the task costs — ERI quartets, Schwarz screening, and
+// Fock-build sweeps. These calibrate the simulator's cost scale and
+// guard the hot path against regressions.
 //
-// Modes:
-//   (default)        google-benchmark microbenchmarks
+// Modes (one is required; with neither, usage is printed and the exit
+// status is 2):
 //   --smoke          fast seed-vs-cached kernel comparison per shell
 //                    class + a Fock-build sweep + the measured ERI/digest
 //                    split of a build + accuracy cross-checks; writes
@@ -18,8 +18,6 @@
 //                    — deliberately below the recorded ~6-8x so scheduler
 //                    noise cannot fail CI, while a real regression does)
 //   --seed=N         seed for the randomized accuracy quartets
-
-#include <benchmark/benchmark.h>
 
 #include <array>
 #include <cmath>
@@ -36,7 +34,6 @@
 #include "chem/boys.hpp"
 #include "chem/eri.hpp"
 #include "chem/fock.hpp"
-#include "chem/integrals.hpp"
 #include "chem/molecule.hpp"
 #include "core/calibration.hpp"
 #include "core/task_model.hpp"
@@ -48,85 +45,6 @@
 namespace {
 
 using namespace emc::chem;
-
-// ---------------------------------------------------------------------------
-// google-benchmark microbenches (default mode)
-// ---------------------------------------------------------------------------
-
-const Shell& water_shell(const BasisSet& basis, int index) {
-  return basis.shells()[static_cast<std::size_t>(index)];
-}
-
-void BM_EriQuartetSSSSDirect(benchmark::State& state) {
-  const BasisSet basis = BasisSet::build(make_water(), "sto-3g");
-  const Shell& s0 = water_shell(basis, 0);  // O 1s (deep contraction)
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eri_shell_quartet_direct(s0, s0, s0, s0));
-  }
-}
-BENCHMARK(BM_EriQuartetSSSSDirect);
-
-void BM_EriQuartetSSSSCached(benchmark::State& state) {
-  const BasisSet basis = BasisSet::build(make_water(), "sto-3g");
-  const ShellPairData pair =
-      make_shell_pair(water_shell(basis, 0), water_shell(basis, 0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eri_shell_quartet(pair, pair));
-  }
-}
-BENCHMARK(BM_EriQuartetSSSSCached);
-
-void BM_EriQuartetPPPPDirect(benchmark::State& state) {
-  const BasisSet basis = BasisSet::build(make_water(), "sto-3g");
-  const Shell& p = water_shell(basis, 2);  // O 2p
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eri_shell_quartet_direct(p, p, p, p));
-  }
-}
-BENCHMARK(BM_EriQuartetPPPPDirect);
-
-void BM_EriQuartetPPPPCached(benchmark::State& state) {
-  const BasisSet basis = BasisSet::build(make_water(), "sto-3g");
-  const ShellPairData pair =
-      make_shell_pair(water_shell(basis, 2), water_shell(basis, 2));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eri_shell_quartet(pair, pair));
-  }
-}
-BENCHMARK(BM_EriQuartetPPPPCached);
-
-void BM_OverlapMatrix(benchmark::State& state) {
-  const Molecule mol = make_water_cluster(static_cast<int>(state.range(0)));
-  const BasisSet basis = BasisSet::build(mol, "sto-3g");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(overlap_matrix(basis));
-  }
-  state.counters["functions"] = basis.function_count();
-}
-BENCHMARK(BM_OverlapMatrix)->Arg(1)->Arg(4)->Arg(8);
-
-void BM_SchwarzMatrix(benchmark::State& state) {
-  const Molecule mol = make_water_cluster(static_cast<int>(state.range(0)));
-  const BasisSet basis = BasisSet::build(mol, "sto-3g");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(schwarz_matrix(basis));
-  }
-  state.counters["shells"] = static_cast<double>(basis.shell_count());
-}
-BENCHMARK(BM_SchwarzMatrix)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_FockBuild(benchmark::State& state) {
-  const Molecule mol = make_water_cluster(static_cast<int>(state.range(0)));
-  const BasisSet basis = BasisSet::build(mol, "sto-3g");
-  const FockBuilder builder(basis);
-  const auto n = static_cast<std::size_t>(basis.function_count());
-  emc::linalg::Matrix density(n, n);
-  for (std::size_t i = 0; i < n; ++i) density(i, i) = 1.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(builder.build_g(density));
-  }
-}
-BENCHMARK(BM_FockBuild)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // --smoke: seed-vs-cached comparison, accuracy gate, BENCH_kernel.json
@@ -178,12 +96,12 @@ ClassResult time_quartet_class(const std::string& name, const Shell& a,
   res.max_diff = block_max_diff(eri_shell_quartet_direct(a, b, c, d),
                                 eri_shell_quartet(a, b, c, d));
   res.direct_ns = best_ns(3, iters, [&] {
-    benchmark::DoNotOptimize(eri_shell_quartet_direct(a, b, c, d));
+    emc::bench::do_not_optimize(eri_shell_quartet_direct(a, b, c, d));
   });
   const ShellPairData bra = make_shell_pair(a, b);
   const ShellPairData ket = make_shell_pair(c, d);
   res.cached_ns = best_ns(3, iters, [&] {
-    benchmark::DoNotOptimize(eri_shell_quartet(bra, ket));
+    emc::bench::do_not_optimize(eri_shell_quartet(bra, ket));
   });
   return res;
 }
@@ -265,7 +183,7 @@ FockSweepResult fock_sweep(const FockBuilder& builder, int reps) {
     const double t = timer.seconds() * 1e3;
     if (r == 0 || t < res.cached_ms) res.cached_ms = t;
   }
-  benchmark::DoNotOptimize(sink);
+  emc::bench::do_not_optimize(sink);
   return res;
 }
 
@@ -329,7 +247,7 @@ EriSplitResult eri_digest_split(const FockBuilder& builder, int reps,
     build.push_back(thread_cpu_ms() - start);
     digest.push_back(build.back() - eri.back());
   }
-  benchmark::DoNotOptimize(sink);
+  emc::bench::do_not_optimize(sink);
   return {reps, spread_of(eri), spread_of(build), spread_of(digest)};
 }
 
@@ -606,33 +524,20 @@ int main(int argc, char** argv) {
   std::int64_t seed = 12345;
   bool smoke = false, calibrate = false;
 
-  // google-benchmark's own --benchmark_* flags pass through to it.
-  std::vector<char*> ours{argv[0]}, theirs{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const bool benchmark_flag =
-        std::string(argv[i]).rfind("--benchmark_", 0) == 0;
-    (benchmark_flag ? theirs : ours).push_back(argv[i]);
-  }
-  emc::Cli cli("bench_kernel", "ERI kernel micro-benchmarks and gates");
+  emc::Cli cli("bench_kernel", "ERI kernel gates and cost-model calibration");
   cli.add_flag("smoke", '\0', "seed-vs-cached accuracy + speedup gate",
                &smoke);
   cli.add_flag("calibrate", '\0', "re-fit the task-cost model", &calibrate);
   cli.add_string("json", '\0', "smoke JSON report path", &json_path);
   cli.add_double("min-speedup", '\0', "smoke speedup floor", &min_speedup);
   cli.add_int("seed", '\0', "smoke workload seed", &seed);
-  if (!cli.parse(static_cast<int>(ours.size()), ours.data())) return 2;
+  if (!cli.parse(argc, argv)) return 2;
 
   if (calibrate) return run_calibrate();
   if (smoke) {
     return run_smoke(json_path, min_speedup, static_cast<std::uint64_t>(seed));
   }
-
-  int bench_argc = static_cast<int>(theirs.size());
-  benchmark::Initialize(&bench_argc, theirs.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, theirs.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  std::cerr << "bench_kernel: pass --smoke or --calibrate\n"
+            << cli.help_text();
+  return 2;
 }

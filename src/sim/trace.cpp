@@ -236,8 +236,10 @@ void write_chrome_trace(std::ostream& out,
   if (procs_per_node < 1) {
     throw std::invalid_argument("write_chrome_trace: procs_per_node < 1");
   }
-  // ts/dur are microseconds per the trace-event spec; pid groups procs by
-  // node so Perfetto's process lanes mirror the machine topology.
+  // ts/dur are microseconds per the trace-event spec, written round-trip
+  // exact (the default 6 significant digits would merge events microseconds
+  // apart once a run passes 10 s); pid groups procs by node so Perfetto's
+  // process lanes mirror the machine topology.
   out << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
   bool first = true;
   for (const TraceEvent& ev : trace) {
@@ -245,7 +247,8 @@ void write_chrome_trace(std::ostream& out,
     first = false;
     out << "  {\"name\": " << util::json_quote(trace_event_name(ev.type))
         << ", \"cat\": \"sim\", \"ph\": \"X\", \"ts\": "
-        << ev.start * 1e6 << ", \"dur\": " << ev.duration() * 1e6
+        << util::format_double(ev.start * 1e6)
+        << ", \"dur\": " << util::format_double(ev.duration() * 1e6)
         << ", \"pid\": " << ev.proc / procs_per_node
         << ", \"tid\": " << ev.proc;
     if (ev.task >= 0 || ev.peer >= 0) {

@@ -207,34 +207,6 @@ void Profiler::write_json(std::ostream& out) const {
   json.end_object();
 }
 
-void Profiler::write_chrome_trace(std::ostream& out) const {
-  const std::vector<ProfileSpanStats> spans = aggregate();
-  // Lay the aggregated tree out as a flame: each node starts where its
-  // parent's cursor stands and advances that cursor by its inclusive
-  // time. depth-indexed cursors suffice because aggregate() returns
-  // parents immediately before their subtree.
-  std::vector<double> cursor_us(2, 0.0);  // next free ts per depth
-  out << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
-  bool first = true;
-  for (const ProfileSpanStats& s : spans) {
-    const auto depth = static_cast<std::size_t>(s.depth);
-    if (cursor_us.size() < depth + 2) cursor_us.resize(depth + 2, 0.0);
-    const double ts = cursor_us[depth];
-    const double dur = s.inclusive_s * 1e6;
-    cursor_us[depth] += dur;     // next sibling follows us
-    cursor_us[depth + 1] = ts;   // our children start where we start
-    out << (first ? "\n" : ",\n");
-    first = false;
-    out << "  {\"name\": " << json_quote(s.name)
-        << ", \"cat\": \"profile\", \"ph\": \"X\", \"ts\": "
-        << format_double(ts) << ", \"dur\": " << format_double(dur)
-        << ", \"pid\": 0, \"tid\": 0, \"args\": {\"calls\": " << s.calls
-        << ", \"exclusive_ms\": " << format_double(s.exclusive_s * 1e3)
-        << "}}";
-  }
-  out << "\n]}\n";
-}
-
 ProfileSpan::ProfileSpan(const char* name) {
   if (!g_enabled.load(std::memory_order_relaxed)) return;
   ThreadBuf& buf = thread_buf();

@@ -75,12 +75,6 @@ class Profiler {
   ///  inclusive_s, exclusive_s}, ...]} — the report embedded by
   /// bench/manifest.hpp's run footer.
   void write_json(std::ostream& out) const;
-  /// Aggregated spans as a synthetic Chrome trace-event flame (ph "X",
-  /// one lane, children laid out inside their parent's span; ts/dur are
-  /// microseconds of aggregated inclusive time). Not a timeline — a
-  /// flame graph of where the run's time went, openable in Perfetto
-  /// like the simulator traces.
-  void write_chrome_trace(std::ostream& out) const;
 
  private:
   Profiler() = default;

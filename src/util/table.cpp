@@ -69,32 +69,6 @@ std::string Table::to_text() const {
   return os.str();
 }
 
-std::string Table::to_csv() const {
-  auto quote = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string out = "\"";
-    for (char ch : s) {
-      if (ch == '"') out += '"';
-      out += ch;
-    }
-    out += '"';
-    return out;
-  };
-
-  std::ostringstream os;
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    os << (c ? "," : "") << quote(headers_[c]);
-  }
-  os << "\n";
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      os << (c ? "," : "") << quote(format_cell(row[c]));
-    }
-    os << "\n";
-  }
-  return os.str();
-}
-
 void Table::print(std::ostream& os, const std::string& title) const {
   if (!title.empty()) os << "== " << title << " ==\n";
   os << to_text();

@@ -1,10 +1,11 @@
 #pragma once
 
-// Aligned plain-text tables and CSV emission for benchmark reports.
+// Aligned plain-text tables for benchmark reports.
 //
-// Every bench binary reports its rows through a Table so that the printed
-// output mirrors the corresponding table/figure series in the paper and
-// can be redirected to CSV for plotting.
+// bench_paper and the examples report their rows through a Table so that
+// the printed output mirrors the corresponding table/figure series in
+// the paper; bench_paper also writes the same cells, keyed by headers(),
+// into its JSON report.
 
 #include <cstddef>
 #include <iosfwd>
@@ -27,15 +28,13 @@ class Table {
 
   void add_row(std::vector<Cell> row);
 
+  const std::vector<std::string>& headers() const { return headers_; }
   std::size_t rows() const { return rows_.size(); }
   std::size_t cols() const { return headers_.size(); }
   const Cell& at(std::size_t row, std::size_t col) const;
 
   /// Renders the table with aligned columns.
   std::string to_text() const;
-
-  /// Renders RFC-4180-ish CSV (quotes cells containing commas/quotes).
-  std::string to_csv() const;
 
   /// Prints to_text() to the stream, preceded by an optional title.
   void print(std::ostream& os, const std::string& title = "") const;

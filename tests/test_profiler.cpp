@@ -173,28 +173,6 @@ TEST_F(ProfilerTest, JsonExportParsesStrict) {
   EXPECT_EQ(spans[1].object.at("depth").number, 2.0);
 }
 
-TEST_F(ProfilerTest, ChromeTraceParsesAndNests) {
-  {
-    EMC_PROF_SPAN("outer");
-    { EMC_PROF_SPAN("inner"); }
-  }
-  std::ostringstream out;
-  Profiler::global().write_chrome_trace(out);
-  const emc::util::JsonValue doc = emc::util::parse_json(out.str());
-  ASSERT_TRUE(doc.has("traceEvents"));
-  const auto& events = doc.object.at("traceEvents").array;
-  ASSERT_EQ(events.size(), 2u);
-  // Child must start at (or after) the parent's start and fit inside
-  // its duration — the synthetic flame layout contract.
-  const auto& outer = events[0].object;
-  const auto& inner = events[1].object;
-  EXPECT_EQ(outer.at("name").str, "outer");
-  EXPECT_EQ(inner.at("name").str, "inner");
-  EXPECT_GE(inner.at("ts").number, outer.at("ts").number);
-  EXPECT_LE(inner.at("ts").number + inner.at("dur").number,
-            outer.at("ts").number + outer.at("dur").number + 1e-6);
-}
-
 TEST_F(ProfilerTest, SpanOpenAcrossDisableStillCloses) {
   // Disabling mid-span must not corrupt the tree: the open span closes
   // into its node regardless of the flag at exit.

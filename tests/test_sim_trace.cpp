@@ -16,6 +16,7 @@
 #include "lb/simple.hpp"
 #include "sim/simulators.hpp"
 #include "sim/trace.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -262,6 +263,30 @@ TEST(ChromeTrace, ExportsRequiredFieldsPerEvent) {
   EXPECT_EQ(count_substr("\"tid\": "), r.trace.size());
   // Steal events carry victim provenance in args.
   EXPECT_GT(count_substr("\"peer\": "), 0u);
+}
+
+TEST(ChromeTrace, TimestampsRoundTripPastTenSeconds) {
+  // Two tasks a microsecond apart, twelve seconds into a run: at six
+  // significant digits both would export "ts": 1.23457e+07.
+  std::vector<TraceEvent> trace(2);
+  trace[0].start = 12.345678;
+  trace[0].end = 12.3456785;
+  trace[1].proc = 1;
+  trace[1].start = 12.345679;
+  trace[1].end = 13.000001;
+
+  std::ostringstream out;
+  write_chrome_trace(out, trace, 8);
+  const emc::util::JsonValue doc = emc::util::parse_json(out.str());
+  const auto& events = doc.object.at("traceEvents").array;
+  ASSERT_EQ(events.size(), trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const auto& ev = events[i].object;
+    EXPECT_NEAR(ev.at("ts").number, trace[i].start * 1e6, 1e-6);
+    EXPECT_NEAR(ev.at("dur").number, trace[i].duration() * 1e6, 1e-6);
+  }
+  EXPECT_NE(events[0].object.at("ts").number,
+            events[1].object.at("ts").number);
 }
 
 TEST(Timeline, SingleTaskCoversItsBins) {

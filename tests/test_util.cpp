@@ -217,14 +217,6 @@ TEST(TableTest, TextAlignmentAndContent) {
   EXPECT_NE(text.find("3.14"), std::string::npos);
 }
 
-TEST(TableTest, CsvQuoting) {
-  Table t({"a", "b"});
-  t.add_row({std::string("x,y"), std::string("say \"hi\"")});
-  const std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("\"x,y\""), std::string::npos);
-  EXPECT_NE(csv.find("\"say \"\"hi\"\"\""), std::string::npos);
-}
-
 TEST(TableTest, RowWidthMismatchThrows) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({std::string("only one")}), std::invalid_argument);

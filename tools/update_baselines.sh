@@ -32,9 +32,10 @@ run bench_trace    --smoke --report="$scratch/BENCH_trace.json" \
 run bench_hybrid   --smoke --report="$scratch/BENCH_hybrid.json"
 run bench_serve    --smoke --report="$scratch/BENCH_serve.json"
 run bench_model_fit --smoke --report="$scratch/BENCH_model_fit.json"
+run bench_paper    # takes no flags; writes BENCH_paper.json to its cwd
 
 mkdir -p "$baselines"
-for b in simspeed kernel faults topology trace hybrid serve model_fit; do
+for b in simspeed kernel faults topology trace hybrid serve model_fit paper; do
   "$compare" --update-baseline \
     "$baselines/BENCH_$b.json" "$scratch/BENCH_$b.json"
 done
