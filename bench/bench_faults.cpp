@@ -41,7 +41,6 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -351,24 +350,10 @@ int run(const Options& opt) {
     json.end_object();
   }
 
-  // Validate the artifact with the strict parser (rejects NaN/Inf) and
-  // check the manifest envelope.
-  {
-    std::ifstream in(opt.report_path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    try {
-      const util::JsonValue doc = util::parse_json(buf.str());
-      const std::string bad = emc::bench::manifest_error(doc);
-      if (!bad.empty()) {
-        std::cerr << "FAIL: report manifest invalid: " << bad << "\n";
-        return 1;
-      }
-    } catch (const std::exception& e) {
-      std::cerr << "FAIL: " << opt.report_path << " is invalid JSON: "
-                << e.what() << "\n";
-      return 1;
-    }
+  if (const std::string bad = emc::bench::validate_report(opt.report_path);
+      !bad.empty()) {
+    std::cerr << "FAIL: " << bad << "\n";
+    return 1;
   }
   std::cout << "wrote " << opt.report_path << " (validated)\n";
 

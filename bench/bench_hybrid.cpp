@@ -42,7 +42,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -353,23 +352,10 @@ int run(const Options& opt) {
     json.end_object();
   }
 
-  // Validate the artifact with the strict parser and manifest check.
-  {
-    std::ifstream in(opt.report_path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    try {
-      const util::JsonValue doc = util::parse_json(buf.str());
-      const std::string bad = emc::bench::manifest_error(doc);
-      if (!bad.empty()) {
-        std::cerr << "FAIL: report manifest invalid: " << bad << "\n";
-        return 1;
-      }
-    } catch (const std::exception& e) {
-      std::cerr << "FAIL: " << opt.report_path << " is invalid JSON: "
-                << e.what() << "\n";
-      return 1;
-    }
+  if (const std::string bad = emc::bench::validate_report(opt.report_path);
+      !bad.empty()) {
+    std::cerr << "FAIL: " << bad << "\n";
+    return 1;
   }
   std::cout << "wrote " << opt.report_path << " (validated)\n";
 

@@ -25,7 +25,6 @@
 #include <ctime>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -397,21 +396,10 @@ int run_smoke(const std::string& json_path, double min_speedup,
   out.close();
   std::cout << "wrote " << json_path << "\n";
 
-  {
-    std::ifstream in(json_path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    try {
-      const emc::util::JsonValue doc = emc::util::parse_json(buf.str());
-      const std::string bad = emc::bench::manifest_error(doc);
-      if (!bad.empty()) {
-        std::cerr << "FAIL: report manifest invalid: " << bad << "\n";
-        return 1;
-      }
-    } catch (const std::exception& e) {
-      std::cerr << "FAIL: report is not valid JSON: " << e.what() << "\n";
-      return 1;
-    }
+  if (const std::string bad = emc::bench::validate_report(json_path);
+      !bad.empty()) {
+    std::cerr << "FAIL: " << bad << "\n";
+    return 1;
   }
 
   if (!accuracy_ok) {

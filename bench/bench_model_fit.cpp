@@ -46,7 +46,6 @@
 //   --mean-cost=S      mean synthetic task cost, sim-seconds (1e-5)
 //   --report=PATH      JSON report (default BENCH_model_fit.json)
 //   --seed=N           workload + CV-split seed (default 1)
-//   --profile          enable the scoped-span profiler
 
 #include <algorithm>
 #include <cmath>
@@ -69,7 +68,6 @@
 #include "perfmodel/term_basis.hpp"
 #include "sim/simulators.hpp"
 #include "util/cli.hpp"
-#include "util/profiler.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -80,7 +78,6 @@ namespace pm = emc::perfmodel;
 
 struct Options {
   bool smoke = false;
-  bool profile = false;
   /// Mean task cost is set low enough that every protocol's
   /// serialization knee (counter saturates at P ~ mean / service) sits
   /// BELOW the training range: extrapolating a fit across a regime
@@ -98,8 +95,6 @@ bool parse_options(int argc, char** argv, Options* opt) {
   auto seed = static_cast<std::int64_t>(opt->seed);
   Cli cli("bench_model_fit", "fit, validate and extrapolate perf models");
   cli.add_flag("smoke", '\0', "small sweep + all gates (CI)", &opt->smoke);
-  cli.add_flag("profile", '\0', "enable the scoped-span profiler",
-               &opt->profile);
   cli.add_double("mean-cost", '\0', "mean synthetic task cost, sim-seconds",
                  &opt->mean_cost);
   cli.add_string("report", '\0', "JSON report path", &opt->report_path);
@@ -412,7 +407,6 @@ struct Crossover {
 int main(int argc, char** argv) {
   Options opt;
   if (!parse_options(argc, argv, &opt)) return 2;
-  if (opt.profile) emc::util::Profiler::global().set_enabled(true);
 
   std::cout << "##############################################\n"
             << "# bench_model_fit (EXP-15): analytic performance models\n"
@@ -779,21 +773,20 @@ int main(int argc, char** argv) {
   std::cout << "\nwrote " << opt.report_path << "\n";
 
   // --- Self-checks on the artifact --------------------------------------
-  // 1. the manifest envelope must validate; 2. refitting from the
+  // 1. strict JSON plus the manifest envelope; 2. refitting from the
   // report's own sweep cells must reproduce every leaf bitwise.
+  if (const std::string bad = emc::bench::validate_report(opt.report_path);
+      !bad.empty()) {
+    std::cerr << "FAIL: " << bad << "\n";
+    return 1;
+  }
   bool refit_ok = false;
   {
     std::ifstream in(opt.report_path);
     std::stringstream buf;
     buf << in.rdbuf();
     try {
-      const emc::util::JsonValue doc = emc::util::parse_json(buf.str());
-      const std::string bad = emc::bench::manifest_error(doc);
-      if (!bad.empty()) {
-        std::cerr << "FAIL: report manifest invalid: " << bad << "\n";
-        return 1;
-      }
-      const pm::Sweep reread = pm::load_sweep(doc, "sweep");
+      const pm::Sweep reread = pm::load_sweep_text(buf.str(), "sweep");
       const std::vector<GroupModel> refit =
           fit_all(reread, models, candidates, fit_options);
       refit_ok = refit.size() == fitted.size();
@@ -812,11 +805,6 @@ int main(int argc, char** argv) {
   }
   if (refit_ok) {
     std::cout << "ingest refit: bitwise identical\n";
-  }
-
-  if (opt.profile) {
-    std::cout << "\nprofiler spans:\n";
-    emc::util::Profiler::global().write_text(std::cout);
   }
 
   if (!passed || !refit_ok) return 1;

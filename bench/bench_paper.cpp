@@ -16,7 +16,6 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <variant>
@@ -765,23 +764,10 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  // Re-read the report with the strict parser and check its manifest.
-  {
-    std::ifstream in(report_path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    try {
-      const std::string bad =
-          emc::bench::manifest_error(emc::util::parse_json(buf.str()));
-      if (!bad.empty()) {
-        std::cerr << "FAIL: report manifest invalid: " << bad << "\n";
-        return 1;
-      }
-    } catch (const std::exception& e) {
-      std::cerr << "FAIL: " << report_path << " is invalid JSON: " << e.what()
-                << "\n";
-      return 1;
-    }
+  if (const std::string bad = emc::bench::validate_report(report_path);
+      !bad.empty()) {
+    std::cerr << "FAIL: " << bad << "\n";
+    return 1;
   }
   std::cerr << "wrote " << report_path << " (validated)\n";
 

@@ -27,8 +27,6 @@
 //   --mean-cost=S    mean synthetic task cost, sim-seconds (default 1e-5)
 //   --report=PATH    JSON report (default BENCH_simspeed.json)
 //   --seed=N         workload + steal seed (default 1)
-//   --profile        enable the scoped-span profiler; prints the span
-//                    table and embeds the summary in the report
 
 #include <algorithm>
 #include <chrono>
@@ -36,7 +34,6 @@
 #include <fstream>
 #include <iostream>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -44,7 +41,6 @@
 #include "lb/simple.hpp"
 #include "sim/simulators.hpp"
 #include "util/cli.hpp"
-#include "util/profiler.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -54,7 +50,6 @@ using namespace emc::sim;
 
 struct Options {
   bool smoke = false;
-  bool profile = false;
   double mean_cost = 1.0e-5;
   std::string report_path = "BENCH_simspeed.json";
   std::uint64_t seed = 1;
@@ -66,8 +61,6 @@ bool parse_options(int argc, char** argv, Options* opt) {
   auto seed = static_cast<std::int64_t>(opt->seed);
   Cli cli("bench_simspeed", "simulator throughput and replay gate");
   cli.add_flag("smoke", '\0', "small sweep + gates (CI)", &opt->smoke);
-  cli.add_flag("profile", '\0', "enable the scoped-span profiler",
-               &opt->profile);
   cli.add_double("mean-cost", '\0', "mean synthetic task cost, sim-seconds",
                  &opt->mean_cost);
   cli.add_string("report", '\0', "JSON report path", &opt->report_path);
@@ -247,7 +240,6 @@ ScaleRun scale_run(const Options& opt, int procs, std::int64_t tasks) {
 int main(int argc, char** argv) {
   Options opt;
   if (!parse_options(argc, argv, &opt)) return 2;
-  if (opt.profile) emc::util::Profiler::global().set_enabled(true);
 
   std::cout << "##############################################\n"
             << "# bench_simspeed: simulator throughput\n"
@@ -346,28 +338,10 @@ int main(int argc, char** argv) {
   out.close();
   std::cout << "\nwrote " << opt.report_path << "\n";
 
-  // Self-check: the artifact must re-parse and carry a valid manifest,
-  // or downstream bench_compare runs would reject it.
-  {
-    std::ifstream in(opt.report_path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    try {
-      const emc::util::JsonValue doc = emc::util::parse_json(buf.str());
-      const std::string bad = emc::bench::manifest_error(doc);
-      if (!bad.empty()) {
-        std::cerr << "FAIL: report manifest invalid: " << bad << "\n";
-        return 1;
-      }
-    } catch (const std::exception& e) {
-      std::cerr << "FAIL: report is not valid JSON: " << e.what() << "\n";
-      return 1;
-    }
-  }
-
-  if (opt.profile) {
-    std::cout << "\nprofiler spans:\n";
-    emc::util::Profiler::global().write_text(std::cout);
+  if (const std::string bad = emc::bench::validate_report(opt.report_path);
+      !bad.empty()) {
+    std::cerr << "FAIL: " << bad << "\n";
+    return 1;
   }
 
   if (!passed) return 1;

@@ -43,7 +43,6 @@
 #include "sim/trace.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
-#include "util/profiler.hpp"
 
 namespace {
 
@@ -184,9 +183,6 @@ void run_pgas_fock(const Options& opt, util::MetricsRegistry& registry) {
 }
 
 int run(const Options& opt) {
-  // The tracing bench doubles as the profiler's end-to-end exercise: its
-  // report always embeds the span summary (bench_compare skips it).
-  util::Profiler::global().set_enabled(true);
   core::TaskModelOptions model_opts;
   model_opts.measure_costs = opt.measured;
   const core::TaskModel model =
@@ -302,24 +298,10 @@ int run(const Options& opt) {
   out.close();
   std::cout << "wrote " << opt.report_path << "\n";
 
-  // Self-check: re-parse the report and validate the manifest envelope
-  // (the chrome trace was already validated above).
-  {
-    std::ifstream in(opt.report_path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    try {
-      const util::JsonValue doc = util::parse_json(buf.str());
-      const std::string bad = emc::bench::manifest_error(doc);
-      if (!bad.empty()) {
-        std::cerr << "FAIL: report manifest invalid: " << bad << "\n";
-        return 1;
-      }
-    } catch (const std::exception& e) {
-      std::cerr << "FAIL: " << opt.report_path
-                << " is invalid JSON: " << e.what() << "\n";
-      return 1;
-    }
+  if (const std::string bad = emc::bench::validate_report(opt.report_path);
+      !bad.empty()) {
+    std::cerr << "FAIL: " << bad << "\n";
+    return 1;
   }
   return 0;
 }

@@ -4,9 +4,9 @@
 // validator. A report without provenance is a number with no pedigree:
 // the manifest stamps schema version, bench identity, git SHA + dirty
 // flag, compiler/flags, host, timestamp, and seed, and the run footer
-// appends peak RSS and (when enabled) the profiler span summary — so a
-// baseline checked into bench/baselines/ is self-describing and
-// bench_compare can refuse to diff incomparable artifacts.
+// appends peak RSS — so a baseline checked into bench/baselines/ is
+// self-describing and bench_compare can refuse to diff incomparable
+// artifacts.
 //
 // Schema policy (see DESIGN.md "Observability pipeline"):
 //   - kManifestSchemaVersion bumps ONLY on a breaking change to the
@@ -18,6 +18,8 @@
 
 #include <cstdint>
 #include <ctime>
+#include <exception>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -28,7 +30,6 @@
 
 #include "emc/version.hpp"
 #include "util/json.hpp"
-#include "util/profiler.hpp"
 
 namespace emc::bench {
 
@@ -99,19 +100,10 @@ inline void write_manifest(util::JsonWriter& json,
   json.end_object();
 }
 
-/// Emits the run footer: peak RSS always, the profiler span summary
-/// when profiling is enabled. Call as the last fields of the top-level
-/// report object.
+/// Emits the run footer (peak RSS). Call as the last field of the
+/// top-level report object.
 inline void write_run_footer(util::JsonWriter& json) {
   json.field("peak_rss_bytes", peak_rss_bytes());
-  util::Profiler& profiler = util::Profiler::global();
-  if (profiler.enabled()) {
-    std::ostringstream prof;
-    profiler.write_json(prof);
-    std::string text = prof.str();
-    while (!text.empty() && text.back() == '\n') text.pop_back();
-    json.raw("profile", text);
-  }
 }
 
 /// Validates that `doc` (a parsed BENCH_*.json) carries the manifest
@@ -158,6 +150,22 @@ inline std::string manifest_error(const util::JsonValue& doc) {
     return "missing top-level \"peak_rss_bytes\"";
   }
   return "";
+}
+
+/// Re-reads the report a bench just wrote with the strict parser (NaN,
+/// Inf and trailing garbage are errors) and checks its manifest
+/// envelope. Returns "" when valid, else the first error — each bench
+/// prints it and exits 1, since bench_compare would reject the file.
+inline std::string validate_report(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  try {
+    const std::string bad = manifest_error(util::parse_json(buf.str()));
+    return bad.empty() ? "" : "report manifest invalid: " + bad;
+  } catch (const std::exception& e) {
+    return path + " is invalid JSON: " + e.what();
+  }
 }
 
 }  // namespace emc::bench

@@ -10,6 +10,7 @@
 // FockCache, so only the distinct chemistries pay shell-pair + Schwarz
 // construction.
 
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <future>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "serve/server.hpp"
+#include "util/cli.hpp"
 #include "util/metrics.hpp"
 
 int main(int argc, char** argv) try {
@@ -26,25 +28,23 @@ int main(int argc, char** argv) try {
   using emc::serve::ScfServer;
   using emc::serve::ServerOptions;
 
-  ServerOptions options;
-  options.workers = 2;
-  options.queue_capacity = 32;
-  options.cache_capacity = 4;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    const std::string arg = argv[i];
-    if (arg == "--workers") {
-      options.workers = std::stoi(argv[i + 1]);
-    } else if (arg == "--queue") {
-      options.queue_capacity =
-          static_cast<std::size_t>(std::stoul(argv[i + 1]));
-    } else if (arg == "--cache") {
-      options.cache_capacity =
-          static_cast<std::size_t>(std::stoul(argv[i + 1]));
-    } else {
-      std::cerr << "unknown flag " << arg << "\n";
-      return 2;
-    }
+  int workers = 2;
+  std::int64_t queue = 32;
+  std::int64_t cache = 4;
+  emc::Cli cli("scf_server", "Multi-tenant SCF-as-a-service quickstart");
+  cli.add_int("workers", '\0', "worker threads", &workers);
+  cli.add_int("queue", '\0', "queue capacity in jobs", &queue);
+  cli.add_int("cache", '\0', "FockCache capacity in entries", &cache);
+  if (!cli.parse(argc, argv)) return 2;
+  if (workers < 1 || queue < 1 || cache < 1) {
+    std::cerr << "scf_server: --workers, --queue and --cache must be >= 1\n";
+    return 2;
   }
+
+  ServerOptions options;
+  options.workers = workers;
+  options.queue_capacity = static_cast<std::size_t>(queue);
+  options.cache_capacity = static_cast<std::size_t>(cache);
   emc::util::MetricsRegistry metrics;
   options.metrics = &metrics;
 

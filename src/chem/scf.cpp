@@ -9,7 +9,6 @@
 #include "linalg/eigen.hpp"
 #include "linalg/factor.hpp"
 #include "util/log.hpp"
-#include "util/profiler.hpp"
 
 namespace emc::chem {
 
@@ -111,7 +110,6 @@ double trace_product(const linalg::Matrix& a, const linalg::Matrix& b) {
 ScfResult run_rhf_with_builder(const Molecule& molecule,
                                const BasisSet& basis, const GBuilder& g,
                                const ScfOptions& options) {
-  EMC_PROF_SPAN("scf/run");
   const int n_electrons = molecule.electron_count(options.net_charge);
   if (n_electrons % 2 != 0) {
     throw std::invalid_argument(
@@ -132,7 +130,6 @@ ScfResult run_rhf_with_builder(const Molecule& molecule,
 
   // Core-Hamiltonian initial guess.
   auto solve_roothaan = [&](const linalg::Matrix& f) {
-    EMC_PROF_SPAN("scf/diagonalize");
     const linalg::Matrix f_ortho = linalg::congruence(x, f);
     linalg::EigenResult eig = linalg::eigen_symmetric(f_ortho);
     return std::pair<linalg::Matrix, std::vector<double>>(
@@ -149,10 +146,7 @@ ScfResult run_rhf_with_builder(const Molecule& molecule,
   double prev_energy = 0.0;
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
     linalg::Matrix fock = h;
-    {
-      EMC_PROF_SPAN("scf/fock_build");
-      fock += g(p);
-    }
+    fock += g(p);
 
     // Electronic energy: 1/2 tr(P (H + F)).
     const double e_elec =

@@ -7,7 +7,6 @@
 
 #include "exec/tree_reduction.hpp"
 #include "lb/simple.hpp"
-#include "util/profiler.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -27,8 +26,7 @@ bool task_attempt_lost(const DistributedFockOptions::TaskFaultOptions& tf,
                         0x9e3779b97f4a7c15ULL ^
                     (static_cast<std::uint64_t>(attempt) + 1) *
                         0xbf58476d1ce4e5b9ULL;
-  const double u = static_cast<double>(splitmix64(h) >> 11) * 0x1.0p-53;
-  return u < tf.fail_prob;
+  return unit_interval(splitmix64(h)) < tf.fail_prob;
 }
 
 /// Upper bound on reduction slots per build. The task list is cut into
@@ -269,7 +267,6 @@ exec::ExecutionStats DistributedFockBuilder::run_hybrid(
 
 linalg::Matrix DistributedFockBuilder::build_g(
     const linalg::Matrix& density) {
-  EMC_PROF_SPAN("fock/build_g");
   const auto n = static_cast<std::size_t>(basis_->function_count());
   if (density.rows() != n || density.cols() != n) {
     throw std::invalid_argument("build_g: density shape mismatch");
@@ -304,41 +301,32 @@ linalg::Matrix DistributedFockBuilder::build_g(
   // mirrors GA codes: GA_Get(P) ... do work ... GA_Acc(F) with
   // barriers between phases.
   emc::Timer phase;
-  {
-    EMC_PROF_SPAN("fock/phase_get");
-    runtime_->run([&](pgas::Context& ctx) {
-      const auto ru = static_cast<std::size_t>(ctx.rank());
-      density_ga.get(ctx.rank(), 0, 0, n, n,
-                     std::span<double>(local_density[ru].data(), n * n),
-                     ctx.cost_model());
-    });
-  }
+  runtime_->run([&](pgas::Context& ctx) {
+    const auto ru = static_cast<std::size_t>(ctx.rank());
+    density_ga.get(ctx.rank(), 0, 0, n, n,
+                   std::span<double>(local_density[ru].data(), n * n),
+                   ctx.cost_model());
+  });
   if (metrics_.phase_get != nullptr) metrics_.phase_get->add(phase.seconds());
 
   phase.reset();
-  {
-    EMC_PROF_SPAN("fock/phase_execute");
-    last_stats_ = run_hybrid(local_density, rank_roots, reexecs);
-  }
+  last_stats_ = run_hybrid(local_density, rank_roots, reexecs);
   if (metrics_.phase_execute != nullptr) {
     metrics_.phase_execute->add(phase.seconds());
   }
 
   phase.reset();
-  {
-    EMC_PROF_SPAN("fock/phase_accumulate");
-    runtime_->run([&](pgas::Context& ctx) {
-      const auto ru = static_cast<std::size_t>(ctx.rank());
-      const JkBuffer* root = rank_roots[ru];
-      if (root == nullptr) return;  // rank executed no slots
-      j_ga.accumulate(ctx.rank(), 0, 0, n, n,
-                      std::span<const double>(root->j.data(), n * n),
-                      ctx.cost_model());
-      k_ga.accumulate(ctx.rank(), 0, 0, n, n,
-                      std::span<const double>(root->k.data(), n * n),
-                      ctx.cost_model());
-    });
-  }
+  runtime_->run([&](pgas::Context& ctx) {
+    const auto ru = static_cast<std::size_t>(ctx.rank());
+    const JkBuffer* root = rank_roots[ru];
+    if (root == nullptr) return;  // rank executed no slots
+    j_ga.accumulate(ctx.rank(), 0, 0, n, n,
+                    std::span<const double>(root->j.data(), n * n),
+                    ctx.cost_model());
+    k_ga.accumulate(ctx.rank(), 0, 0, n, n,
+                    std::span<const double>(root->k.data(), n * n),
+                    ctx.cost_model());
+  });
   for (JkBuffer* root : rank_roots) {
     if (root != nullptr) buffer_pool_.release(root);
   }

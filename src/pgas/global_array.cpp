@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/profiler.hpp"
 
 namespace emc::pgas {
 
@@ -113,7 +112,6 @@ void GlobalArray::for_each_stripe(std::size_t r0, std::size_t h,
 void GlobalArray::get(int caller, std::size_t r0, std::size_t c0,
                       std::size_t h, std::size_t w, std::span<double> out,
                       const CommCostModel& cost) const {
-  EMC_PROF_SPAN("pgas/get");
   check_patch(r0, c0, h, w);
   if (out.size() < h * w) throw std::invalid_argument("get: buffer too small");
   resolve_faults(caller, h * w * sizeof(double), cost);
@@ -131,7 +129,6 @@ void GlobalArray::get(int caller, std::size_t r0, std::size_t c0,
 void GlobalArray::put(int caller, std::size_t r0, std::size_t c0,
                       std::size_t h, std::size_t w,
                       std::span<const double> in, const CommCostModel& cost) {
-  EMC_PROF_SPAN("pgas/put");
   check_patch(r0, c0, h, w);
   if (in.size() < h * w) throw std::invalid_argument("put: buffer too small");
   resolve_faults(caller, h * w * sizeof(double), cost);
@@ -152,7 +149,6 @@ void GlobalArray::accumulate(int caller, std::size_t r0, std::size_t c0,
                              std::size_t h, std::size_t w,
                              std::span<const double> in,
                              const CommCostModel& cost) {
-  EMC_PROF_SPAN("pgas/accumulate");
   check_patch(r0, c0, h, w);
   if (in.size() < h * w) {
     throw std::invalid_argument("accumulate: buffer too small");

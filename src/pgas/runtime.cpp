@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "util/log.hpp"
-#include "util/profiler.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -37,8 +36,7 @@ bool attempt_dropped(const CommCostModel& cost, int rank,
                     (op_seq + 1) * 0xbf58476d1ce4e5b9ULL ^
                     (static_cast<std::uint64_t>(attempt) + 1) *
                         0x94d049bb133111ebULL;
-  const double u = static_cast<double>(splitmix64(h) >> 11) * 0x1.0p-53;
-  return u < cost.drop_prob;
+  return unit_interval(splitmix64(h)) < cost.drop_prob;
 }
 
 std::uint64_t backoff_ns(const CommCostModel& cost, int attempt) {
@@ -128,7 +126,6 @@ int resolve_with_retries(const CommCostModel& cost, int rank,
 int Context::size() const { return runtime_->size(); }
 
 void Context::barrier() {
-  EMC_PROF_SPAN("pgas/barrier");
   Runtime& rt = *runtime_;
   if (rt.metrics_ == nullptr) {
     rt.barrier_.arrive_and_wait();
@@ -146,7 +143,6 @@ const CommCostModel& Context::cost_model() const {
 }
 
 void Context::all_reduce_sum(std::span<double> data) {
-  EMC_PROF_SPAN("pgas/all_reduce");
   Runtime& rt = *runtime_;
   // Rank 0 prepares the shared accumulator before anyone adds to it.
   if (rank_ == 0) {
@@ -172,7 +168,6 @@ void Context::all_reduce_sum(std::span<double> data) {
 }
 
 void Context::broadcast(std::span<double> data, int root) {
-  EMC_PROF_SPAN("pgas/broadcast");
   Runtime& rt = *runtime_;
   if (root < 0 || root >= rt.size()) {
     throw std::invalid_argument("broadcast: root out of range");
@@ -213,7 +208,6 @@ void Runtime::set_metrics(util::MetricsRegistry* registry) {
 }
 
 void Runtime::run(const std::function<void(Context&)>& body) {
-  EMC_PROF_SPAN("pgas/run");
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(n_ranks_));
   std::exception_ptr first_error;

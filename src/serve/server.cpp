@@ -7,17 +7,11 @@
 
 #include "chem/scf.hpp"
 #include "linalg/matrix.hpp"
+#include "util/rng.hpp"
 
 namespace emc::serve {
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// Stateless per-attempt loss decision — same idiom as the distributed
 /// builder's task_attempt_lost, keyed on the job id instead of the task
@@ -29,8 +23,7 @@ bool job_attempt_lost(const ServerOptions& options, std::int64_t job_id,
                         0x9e3779b97f4a7c15ULL ^
                     (static_cast<std::uint64_t>(attempt) + 1) *
                         0xbf58476d1ce4e5b9ULL;
-  const double u = static_cast<double>(splitmix64(h) >> 11) * 0x1.0p-53;
-  return u < options.fail_prob;
+  return unit_interval(splitmix64(h)) < options.fail_prob;
 }
 
 /// FNV-1a over the matrix's double bit patterns (row-major): a bitwise

@@ -117,9 +117,7 @@ bool FaultSchedule::drop_op(int proc, std::uint64_t op_seq,
                     (op_seq + 1) * 0xbf58476d1ce4e5b9ULL ^
                     (static_cast<std::uint64_t>(attempt) + 1) *
                         0x94d049bb133111ebULL;
-  const double u =
-      static_cast<double>(splitmix64(h) >> 11) * 0x1.0p-53;
-  return u < model_.drop_prob;
+  return unit_interval(splitmix64(h)) < model_.drop_prob;
 }
 
 double FaultSchedule::backoff(int attempt) const {

@@ -6,7 +6,6 @@
 #include "lb/simple.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/task_ring.hpp"
-#include "util/profiler.hpp"
 #include "util/rng.hpp"
 
 namespace emc::sim {
@@ -498,7 +497,6 @@ void run_counter_loop(const MachineConfig& config,
 SimResult simulate_static(const MachineConfig& config,
                           std::span<const double> costs,
                           const lb::Assignment& assignment) {
-  EMC_PROF_SPAN("sim/static");
   check_inputs(config, costs);
   if (assignment.size() != costs.size()) {
     throw std::invalid_argument("simulate_static: assignment size mismatch");
@@ -524,7 +522,6 @@ SimResult simulate_counter(const MachineConfig& config,
 SimResult simulate_counter(const MachineConfig& config,
                            std::span<const double> costs,
                            const CounterOptions& options) {
-  EMC_PROF_SPAN("sim/counter");
   check_inputs(config, costs);
   RunState run(config, costs.size());
   GlobalCounter counter(config, run.faults,
@@ -539,7 +536,6 @@ SimResult simulate_hierarchical_counter(const MachineConfig& config,
                                         std::span<const double> costs,
                                         std::int64_t node_chunk,
                                         std::int64_t proc_chunk) {
-  EMC_PROF_SPAN("sim/hier_counter");
   check_inputs(config, costs);
   if (node_chunk < 1 || proc_chunk < 1) {
     throw std::invalid_argument(
@@ -559,7 +555,6 @@ SimResult simulate_hybrid(const MachineConfig& config,
                           std::span<const double> costs,
                           const lb::Assignment& assignment,
                           double dynamic_fraction, std::int64_t chunk) {
-  EMC_PROF_SPAN("sim/hybrid");
   check_inputs(config, costs);
   if (assignment.size() != costs.size()) {
     throw std::invalid_argument("simulate_hybrid: assignment mismatch");
@@ -600,7 +595,6 @@ SimResult simulate_work_stealing(const MachineConfig& config,
                                  const lb::Assignment& initial,
                                  const StealOptions& options,
                                  std::vector<int>* executed_by) {
-  EMC_PROF_SPAN("sim/work_stealing");
   check_inputs(config, costs);
   if (initial.size() != costs.size()) {
     throw std::invalid_argument(
@@ -783,7 +777,6 @@ std::vector<SimResult> simulate_retentive(const MachineConfig& config,
                                           const lb::Assignment& initial,
                                           int iterations,
                                           const StealOptions& options) {
-  EMC_PROF_SPAN("sim/retentive");
   std::vector<SimResult> rounds;
   lb::Assignment current = initial;
   std::vector<int> executed_by;
@@ -801,7 +794,6 @@ std::vector<SimResult> simulate_persistence(
     const MachineConfig& config, std::span<const double> costs,
     const lb::Assignment& initial, int iterations,
     double rebalance_cost_seconds) {
-  EMC_PROF_SPAN("sim/persistence");
   if (rebalance_cost_seconds < 0.0) {
     throw std::invalid_argument(
         "simulate_persistence: negative rebalance cost");

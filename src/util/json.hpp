@@ -81,8 +81,8 @@ std::string json_quote(const std::string& s);
 std::string format_double(double v);
 
 /// Streaming JSON emitter with automatic comma/indent management,
-/// shared by every artifact writer (BENCH_*.json reports, profiler
-/// exports). Usage mirrors the document structure:
+/// shared by every artifact writer (BENCH_*.json reports, metrics and
+/// trace exports). Usage mirrors the document structure:
 ///
 ///   JsonWriter w(out);
 ///   w.begin_object();

@@ -23,6 +23,13 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+/// Maps 64 random bits to a double in [0, 1): the top 53 bits scaled by
+/// 2^-53. Rng::uniform and every stateless per-attempt loss decision
+/// (splitmix64 of a mixed key, compared against a probability) use it.
+constexpr double unit_interval(std::uint64_t bits) {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
 /// xoshiro256** — fast, high-quality 64-bit PRNG.
 /// Satisfies UniformRandomBitGenerator so it can feed <random> adapters.
 class Rng {
@@ -54,9 +61,7 @@ class Rng {
   }
 
   /// Uniform double in [0, 1).
-  double uniform() {
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-  }
+  double uniform() { return unit_interval((*this)()); }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }

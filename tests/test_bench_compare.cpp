@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "bench_compare_lib.hpp"
@@ -164,14 +166,6 @@ TEST(BenchCompare, SchemaVersionMismatchFails) {
   EXPECT_FALSE(compare(base, cand).ok());
 }
 
-TEST(BenchCompare, ProfileSubtreeIsSkipped) {
-  const std::string base = R"({"profile": {"spans": [1, 2, 3]}})";
-  const std::string cand = R"({"profile": {"spans": []}})";
-  const CompareResult r = compare(base, cand);
-  EXPECT_TRUE(r.ok());
-  EXPECT_EQ(r.warnings, 0);
-}
-
 TEST(ManifestValidator, AcceptsFullEnvelope) {
   const std::string doc = R"({
     "manifest": {
@@ -204,6 +198,28 @@ TEST(ManifestValidator, RejectsWrongFieldType) {
   })";
   const std::string err = emc::bench::manifest_error(parse_json(doc));
   EXPECT_NE(err.find("schema_version"), std::string::npos);
+}
+
+TEST(ManifestValidator, ValidateReportRereadsStrictly) {
+  const std::string path = ::testing::TempDir() + "validate_report.json";
+  const auto write = [&](const std::string& text) {
+    std::ofstream(path) << text;
+    return emc::bench::validate_report(path);
+  };
+  const std::string manifest = R"("manifest": {
+      "schema_version": 1, "bench": "b", "mode": "smoke", "seed": 1,
+      "git_sha": "abc", "git_dirty": false, "compiler": "GNU",
+      "compiler_version": "12", "cxx_flags": "-O3",
+      "build_type": "Release", "hostname": "h",
+      "timestamp_utc": "2026-08-08T00:00:00Z"})";
+  EXPECT_EQ(write("{" + manifest + R"(, "peak_rss_bytes": 1})"), "");
+  EXPECT_NE(write("{" + manifest + R"(, "peak_rss_bytes": NaN})")
+                .find("invalid JSON"),
+            std::string::npos);
+  EXPECT_NE(write("{" + manifest + "}").find("peak_rss_bytes"),
+            std::string::npos);
+  std::remove(path.c_str());
+  EXPECT_NE(emc::bench::validate_report(path), "");
 }
 
 TEST(MarkdownReport, ContainsSummaryAndRows) {

@@ -12,6 +12,7 @@
 #include "pgas/runtime.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -81,6 +82,37 @@ TEST_F(DistributedFockTest, StatsAccountForAllTasks) {
   EXPECT_EQ(builder.last_stats().total_tasks(),
             static_cast<std::int64_t>(n_shells * (n_shells + 1) / 2));
   EXPECT_EQ(builder.builds(), 1);
+}
+
+TEST_F(DistributedFockTest, PhaseMetricsAccountForEveryBuild) {
+  // With a registry attached, each build times its three GA phases (get
+  // P, execute the tasks, accumulate J/K) into gauges: the record of
+  // where a real Fock build's time goes.
+  util::MetricsRegistry registry;
+  DistributedFockOptions options;
+  options.metrics = &registry;
+  pgas::Runtime runtime(2);
+  DistributedFockBuilder builder(basis, runtime, options);
+  const auto n = static_cast<std::size_t>(basis.function_count());
+  linalg::Matrix density(n, n);
+  for (std::size_t i = 0; i < n; ++i) density(i, i) = 1.0;
+
+  const double wall = timed_seconds([&] {
+    builder.build_g(density);
+    builder.build_g(density);
+  });
+  EXPECT_EQ(registry.counter("fock/builds").value(), 2);
+  EXPECT_EQ(registry.counter("fock/tasks").value(),
+            2 * builder.last_stats().total_tasks());
+  double phases = 0.0;
+  for (const char* name :
+       {"fock/phase_get_seconds", "fock/phase_execute_seconds",
+        "fock/phase_accumulate_seconds"}) {
+    const double s = registry.gauge(name).value();
+    EXPECT_GT(s, 0.0) << name;
+    phases += s;
+  }
+  EXPECT_LE(phases, wall);
 }
 
 TEST_F(DistributedFockTest, GMatrixIdenticalAcrossModels) {

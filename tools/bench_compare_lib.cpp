@@ -145,7 +145,6 @@ struct Walker {
                          cand.has(key) ? &cand.object.at(key) : nullptr);
         continue;
       }
-      if (key == "profile") continue;  // profiler timings: skipped
       if (!cand.has(key)) {
         add(child, render(bval), "-", DeltaStatus::kFail,
             "key missing from candidate (renamed?)");
@@ -155,7 +154,6 @@ struct Walker {
               noisy || is_noisy_key(key) || is_metrics_key(key));
     }
     for (const auto& [key, cval] : cand.object) {
-      if (key == "profile") continue;
       if (!base.object.count(key)) {
         add(path.empty() ? key : path + "." + key, "-", render(cval),
             DeltaStatus::kWarn, "new key (update baseline to adopt)");

@@ -14,8 +14,7 @@
 //     ADVISORY by default (warns, does not fail), because wall time on
 //     shared CI runners is weather, not signal;
 //   - the manifest subtree is provenance, not payload: only
-//     schema_version is compared;
-//   - profiler summaries are timings through and through: skipped.
+//     schema_version is compared.
 //
 // Cells of arrays-of-objects are matched by identity keys (model,
 // procs, topology, ...), not by index, so reordering is not a
