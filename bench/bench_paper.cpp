@@ -1,14 +1,15 @@
-// bench_paper — the paper's experiments EXP-1..10 and EXP-2b (DESIGN.md)
-// in one table-driven binary. Each experiment prints the tables of its
-// figure or table to stdout; every table also lands in BENCH_paper.json
-// (one object per row, keyed by the column headers), which bench_compare
-// gates against bench/baselines/BENCH_paper.json.
+// bench_paper — the paper's experiments EXP-1..11, EXP-2b and EXP-9b
+// (DESIGN.md) in one table-driven binary. Each experiment prints the
+// tables of its figure or table to stdout; every table also lands in
+// BENCH_paper.json (one object per row, keyed by the column headers),
+// which bench_compare gates against bench/baselines/BENCH_paper.json.
 //
-// The abstract's checkable claims are gates (EXP-2, 4, 5, 6, 7): the
-// binary exits 1 when one fails, and 2 on any argument (it takes none).
+// The abstract's checkable claims are gates (EXP-2, 4, 5, 6, 7, 9b, 11):
+// the binary exits 1 when one fails, and 2 on any argument (it takes
+// none; --help prints the usage and exits 0).
 //
-// Column names: simulated times read "name(ms)" and gate exactly in
-// bench_compare; host-timed columns keep the "_ms" suffix that
+// Column names: simulated times read "name(ms)" or "name(s)" and gate
+// exactly in bench_compare; host-timed columns keep the "_ms" suffix that
 // bench_compare treats as advisory (balance_ms, EXP-5's balancer times,
 // EXP-9's persistence_ms, which includes a measured LPT wall time).
 
@@ -27,7 +28,10 @@
 #include "lb/partition.hpp"
 #include "lb/semi_matching.hpp"
 #include "lb/simple.hpp"
+#include "net/topology.hpp"
 #include "sim/simulators.hpp"
+#include "sim/trace.hpp"
+#include "util/metrics.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -662,6 +666,286 @@ void exp10_scheduling_policies(const core::TaskModel& model, Section& out) {
             << model.total_cost() / machine.n_procs * 1e3 << " ms\n";
 }
 
+/// One replay under the named execution model, with the parameters
+/// EXP-9b and EXP-11 share: LPT placement for static and for hybrid's
+/// static part (30% dynamic), chunk 4 for the counters, 32-task node
+/// blocks for the hierarchical counter, block placement for stealing.
+sim::SimResult run_model(const std::string& name,
+                         const sim::MachineConfig& config,
+                         const core::TaskModel& model,
+                         const lb::Assignment& lpt,
+                         const lb::Assignment& block) {
+  if (name == "static") return sim::simulate_static(config, model.costs, lpt);
+  if (name == "counter") return sim::simulate_counter(config, model.costs, 4);
+  if (name == "hier") {
+    return sim::simulate_hierarchical_counter(config, model.costs, 32, 4);
+  }
+  if (name == "hybrid") {
+    return sim::simulate_hybrid(config, model.costs, lpt, 0.3, 4);
+  }
+  return sim::simulate_work_stealing(config, model.costs, block);
+}
+
+/// run_model twice on the same config; clears `replays` unless the
+/// second run agrees with the first bitwise. Metrics, if attached, are
+/// written by the first run only.
+sim::SimResult run_replayed(const std::string& name,
+                            const sim::MachineConfig& config,
+                            const core::TaskModel& model,
+                            const lb::Assignment& lpt,
+                            const lb::Assignment& block, bool& replays) {
+  const sim::SimResult a = run_model(name, config, model, lpt, block);
+  sim::MachineConfig again = config;
+  again.metrics = nullptr;
+  const sim::SimResult b = run_model(name, again, model, lpt, block);
+  replays = replays && a.makespan == b.makespan &&
+            a.op_retries == b.op_retries &&
+            a.tasks_reexecuted == b.tasks_reexecuted &&
+            a.steals == b.steals && a.counter_ops == b.counter_ops &&
+            a.net_messages == b.net_messages &&
+            a.net_link_wait == b.net_link_wait &&
+            a.trace.size() == b.trace.size();
+  return a;
+}
+
+/// Fault model scaled by `intensity` in [0, 1]. `ideal` is the
+/// fault-free per-proc work (T1 / P), which sets the scale for window
+/// lengths: at intensity 1 roughly half the procs stall for most of a
+/// proc's worth of work, a fifth of one-sided round trips drop, and the
+/// counter home is dark for a fifth of the schedule.
+sim::FaultModel fault_model_at(double intensity, double ideal) {
+  sim::FaultModel f;
+  f.fault_prob = 0.5 * intensity;
+  f.onset_min = 0.1 * ideal;
+  f.onset_max = 0.4 * ideal;
+  f.duration = 0.8 * ideal * intensity;
+  f.slowdown_factor = 0.0;  // full stall; in-flight work is lost
+  f.drop_prob = 0.2 * intensity;
+  if (intensity > 0.0) {
+    f.outage_start = 0.5 * ideal;
+    f.outage_duration = 0.2 * ideal * intensity;
+  }
+  return f;
+}
+
+std::string verdict(bool ok) { return ok ? "ok" : "FAIL"; }
+
+// EXP-9b — resilience under fault injection at P = 64: processors stall
+// (losing in-flight work), one-sided round trips drop and retry with
+// backoff, and the counter home goes dark, at rising intensity. Every
+// cell runs twice and must replay identically.
+void exp9b_faults(const core::TaskModel& model, Section& out) {
+  out.banner(&model);
+  constexpr int kProcs = 64;
+  const double ideal = model.total_cost() / kProcs;
+
+  sim::MachineConfig base = bench::make_machine(kProcs);
+  base.record_trace = true;
+  base.seed = 42;
+  const auto lpt = lb::lpt_assignment(model.costs, kProcs);
+  const auto block = lb::block_assignment(model.task_count(), kProcs);
+
+  Table machine({"procs", "procs_per_node", "seed", "ideal_per_proc(s)"});
+  machine.add_row({static_cast<std::int64_t>(kProcs),
+                   static_cast<std::int64_t>(base.procs_per_node),
+                   static_cast<std::int64_t>(base.seed), ideal});
+  out.table("machine", std::move(machine));
+  std::cout << "\n";
+
+  Table table({"model", "intensity", "makespan(s)", "degradation",
+               "utilization", "op_retries", "reexecuted", "fault_windows"});
+  table.set_precision(4);
+  bool replays = true;
+  double static_deg = 0.0, ws_deg = 0.0;
+  for (const std::string name : {"static", "counter", "hier", "ws"}) {
+    double fault_free = 0.0;
+    for (double intensity : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+      sim::MachineConfig config = base;
+      config.faults = fault_model_at(intensity, ideal);
+      const sim::SimResult r =
+          run_replayed(name, config, model, lpt, block, replays);
+      if (intensity == 0.0) fault_free = r.makespan;
+      const double degradation =
+          fault_free > 0.0 ? r.makespan / fault_free : 1.0;
+      if (intensity == 1.0 && name == "static") static_deg = degradation;
+      if (intensity == 1.0 && name == "ws") ws_deg = degradation;
+      const auto windows = std::count_if(
+          r.trace.begin(), r.trace.end(), [](const sim::TraceEvent& ev) {
+            return ev.type == sim::TraceEventType::kFaultStart;
+          });
+      table.add_row({name, intensity, r.makespan, degradation,
+                     r.utilization(), r.op_retries, r.tasks_reexecuted,
+                     static_cast<std::int64_t>(windows)});
+    }
+  }
+  out.table("degradation vs fault intensity (x1 = the model's fault-free "
+            "makespan)",
+            std::move(table));
+
+  const bool graceful = ws_deg <= static_deg + 1e-9;
+  out.check("every (model, intensity) cell replays identically; at "
+            "intensity 1 work stealing degrades no worse than static",
+            replays && graceful,
+            "replay " + verdict(replays) + ", ws-vs-static " +
+                verdict(graceful) + ": ws x" + std::to_string(ws_deg) +
+                " vs static x" + std::to_string(static_deg));
+}
+
+/// The EXP-11 interconnect sweep over a base network config.
+std::vector<std::pair<std::string, net::NetworkConfig>> topology_sweep(
+    const net::NetworkConfig& base) {
+  std::vector<std::pair<std::string, net::NetworkConfig>> points;
+  auto add = [&](std::string name, net::TopologyKind kind,
+                 int oversubscription) {
+    net::NetworkConfig n = base;
+    n.topology = kind;
+    if (kind == net::TopologyKind::kFatTree) {
+      n.nodes_per_switch = 4;
+      n.oversubscription = oversubscription;
+    }
+    points.emplace_back(std::move(name), n);
+  };
+  add("flat", net::TopologyKind::kLegacyFlat, 1);
+  add("crossbar", net::TopologyKind::kCrossbar, 1);
+  for (int oversub : {1, 2, 4}) {
+    add("fat-tree-" + std::to_string(oversub) + ":1",
+        net::TopologyKind::kFatTree, oversub);
+  }
+  add("torus", net::TopologyKind::kTorus, 1);  // auto near-square
+  return points;
+}
+
+// EXP-11 — execution-model ranking vs interconnect at P = 64 on 16
+// nodes: the seed's contention-free flat model, a crossbar (endpoint
+// contention only), fat trees at 1:1, 2:1 and 4:1 trunk
+// oversubscription, and a 2D torus. Control ops carry
+// NetworkConfig::control_bytes, dynamically acquired tasks pull their
+// density/Fock stripes, and transfers sharing a link serialize. Link
+// bandwidth is auto-scaled so one task payload costs half a mean task
+// execution per link, which keeps the fabric communication-sensitive.
+void exp11_topology(const core::TaskModel& model, Section& out) {
+  out.banner(&model);
+  constexpr int kProcs = 64;
+  const std::vector<std::string> models{"static", "counter", "hier",
+                                        "hybrid", "ws"};
+
+  const double mean_cost =
+      model.total_cost() / static_cast<double>(model.task_count());
+  const std::size_t payload = core::mean_task_comm_bytes(model);
+  net::NetworkConfig base_net;
+  base_net.link_bandwidth = static_cast<double>(payload) / (0.5 * mean_cost);
+  base_net.task_payload_bytes = payload;
+
+  const sim::MachineConfig base = bench::make_machine(kProcs, 4);
+  const int nodes =
+      (base.n_procs + base.procs_per_node - 1) / base.procs_per_node;
+  Table machine({"procs", "procs_per_node", "nodes", "payload_bytes",
+                 "link_bandwidth(B/s)"});
+  machine.add_row({static_cast<std::int64_t>(kProcs),
+                   static_cast<std::int64_t>(base.procs_per_node),
+                   static_cast<std::int64_t>(nodes),
+                   static_cast<std::int64_t>(payload),
+                   base_net.link_bandwidth});
+  out.table("machine", std::move(machine));
+  std::cout << "\n";
+
+  const auto lpt = lb::lpt_assignment(model.costs, kProcs);
+  const auto block = lb::block_assignment(model.task_count(), kProcs);
+  const auto sweep = topology_sweep(base_net);
+  // makespan[topology][model]; the flat row is the slowdown reference.
+  std::vector<std::vector<double>> makespan(sweep.size());
+  util::MetricsRegistry featured;  // counter on the 2:1 fat tree
+  bool replays = true, congested = true;
+
+  Table table({"topology", "oversubscription", "model", "makespan(s)",
+               "slowdown", "utilization", "messages", "queued", "bytes",
+               "link_wait(s)", "counter_wait(s)", "steal_wait(s)",
+               "steals"});
+  table.set_precision(3);
+  for (std::size_t t = 0; t < sweep.size(); ++t) {
+    const auto& [topology, network] = sweep[t];
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      sim::MachineConfig config = base;
+      config.network = network;
+      if (topology == "fat-tree-2:1" && models[m] == "counter") {
+        config.metrics = &featured;
+      }
+      const sim::SimResult r =
+          run_replayed(models[m], config, model, lpt, block, replays);
+      makespan[t].push_back(r.makespan);
+      const double flat = makespan[0][m];
+      if (topology == "fat-tree-2:1" && models[m] != "static" &&
+          (r.net_link_wait <= 0.0 || r.net_congested <= 0)) {
+        congested = false;
+      }
+      table.add_row({topology,
+                     static_cast<std::int64_t>(network.oversubscription),
+                     models[m], r.makespan,
+                     flat > 0.0 ? r.makespan / flat : 1.0, r.utilization(),
+                     r.net_messages, r.net_congested, r.net_bytes,
+                     r.net_link_wait, r.counter_wait, r.steal_wait,
+                     r.steals});
+    }
+  }
+  out.table("makespan and network traffic per (topology, model); "
+            "slowdown vs the same model on flat",
+            std::move(table));
+
+  // Ranking, best model first, and the makespan gap (slowest / fastest).
+  Table rankings({"topology", "ranking", "gap"});
+  rankings.set_precision(3);
+  double fat2_gap = 0.0;
+  for (std::size_t t = 0; t < sweep.size(); ++t) {
+    std::vector<std::size_t> order(models.size());
+    for (std::size_t m = 0; m < order.size(); ++m) order[m] = m;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return makespan[t][a] < makespan[t][b];
+    });
+    std::string ranking;
+    for (std::size_t m : order) {
+      ranking += (ranking.empty() ? "" : " < ") + models[m];
+    }
+    const double fastest = makespan[t][order.front()];
+    const double gap =
+        fastest > 0.0 ? makespan[t][order.back()] / fastest : 0.0;
+    if (sweep[t].first == "fat-tree-2:1") fat2_gap = gap;
+    rankings.add_row({sweep[t].first, ranking, gap});
+  }
+  std::cout << "\n";
+  out.table("model ranking per topology (fastest first)",
+            std::move(rankings));
+
+  // The featured run's net/* metrics as a name/value table.
+  const util::MetricsSnapshot snap = featured.snapshot();
+  Table metrics({"name", "value"});
+  metrics.set_precision(3);
+  for (const auto& [name, value] : snap.counters) metrics.add_row({name, value});
+  for (const auto& [name, value] : snap.gauges) metrics.add_row({name, value});
+  std::cout << "\n";
+  out.table("net metrics, counter on fat-tree-2:1", std::move(metrics));
+
+  // A crossbar at infinite bandwidth adds only exact +0.0 terms to the
+  // counter's send legs, so it must match flat bitwise.
+  sim::MachineConfig infinite = base;
+  infinite.network = base_net;
+  infinite.network.topology = net::TopologyKind::kCrossbar;
+  infinite.network.link_bandwidth = 0.0;
+  infinite.network.task_payload_bytes = 0;
+  const bool backcompat =
+      run_model("counter", infinite, model, lpt, block).makespan ==
+      makespan[0][1];
+  const bool gap_ok = fat2_gap > 1.0 + 1e-6;
+  out.check("every (topology, model) cell replays bitwise; the "
+            "infinite-bandwidth crossbar matches the flat counter makespan "
+            "bitwise; on the 2:1 fat tree every dynamic model queues on a "
+            "link and the models' makespans differ",
+            replays && backcompat && congested && gap_ok,
+            "replay " + verdict(replays) + ", crossbar-vs-flat " +
+                verdict(backcompat) + ", fat2-congested " +
+                verdict(congested) + ", fat2-gap " + verdict(gap_ok) + " x" +
+                std::to_string(fat2_gap));
+}
+
 const Experiment kExperiments[] = {
     {"EXP-1", "Fock-build task-cost heterogeneity",
      "SCF tasks are highly irregular, motivating dynamic load balancing",
@@ -690,9 +974,15 @@ const Experiment kExperiments[] = {
     {"EXP-9", "retentive work stealing across SCF iterations (P = 256)",
      "retention drives steal traffic toward zero across iterations",
      exp9_retentive},
+    {"EXP-9b", "resilience under fault injection (P = 64)",
+     "work stealing degrades gracefully under faults; static collapses",
+     exp9b_faults},
     {"EXP-10", "scheduling-policy ablation (P = 256)",
      "execution-model design choices trade overhead against imbalance",
      exp10_scheduling_policies},
+    {"EXP-11", "execution models vs interconnect topology (P = 64)",
+     "execution-model rankings do not survive a topology change",
+     exp11_topology},
 };
 
 void write_table(bench::JsonWriter& json, const std::string& title,
@@ -741,8 +1031,8 @@ void write_report(std::ostream& out, const std::vector<Section>& sections) {
 
 int main(int argc, char** argv) {
   emc::Cli cli("bench_paper",
-               "EXP-1..10 and EXP-2b with the paper's claims as gates; "
-               "writes BENCH_paper.json (takes no options)");
+               "EXP-1..11, EXP-2b and EXP-9b with the paper's claims as "
+               "gates; writes BENCH_paper.json (takes no options)");
   if (!cli.parse(argc, argv)) return 2;
 
   const char* const report_path = "BENCH_paper.json";

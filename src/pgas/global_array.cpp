@@ -168,8 +168,4 @@ void GlobalArray::accumulate(int caller, std::size_t r0, std::size_t c0,
   });
 }
 
-void GlobalArray::fill(double value) {
-  std::fill(data_.begin(), data_.end(), value);
-}
-
 }  // namespace emc::pgas

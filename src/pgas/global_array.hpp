@@ -48,10 +48,6 @@ class GlobalArray {
                   std::size_t w, std::span<const double> in,
                   const CommCostModel& cost);
 
-  /// Fills the whole array with a value (collective-free convenience for
-  /// initialization before an SPMD region).
-  void fill(double value);
-
   /// Attaches a metrics registry: get/put/accumulate record per-caller
   /// operation counts and bytes moved ("pgas/r<k>/get_ops",
   /// "pgas/r<k>/get_bytes", likewise put/acc) plus fault-injected retry

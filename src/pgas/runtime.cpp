@@ -1,8 +1,6 @@
 #include "pgas/runtime.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
@@ -47,62 +45,6 @@ std::uint64_t backoff_ns(const CommCostModel& cost, int attempt) {
 
 }  // namespace
 
-CommCostModel CommCostModel::from_topology(const net::NetworkConfig& network,
-                                           int n_ranks, int ranks_per_node,
-                                           double intra_latency_s,
-                                           double inter_latency_s) {
-  if (n_ranks < 1 || ranks_per_node < 1) {
-    throw std::invalid_argument(
-        "CommCostModel::from_topology: bad rank counts");
-  }
-  CommCostModel cost;
-  cost.local_ns =
-      static_cast<std::uint64_t>(std::llround(intra_latency_s * 1e9));
-  if (network.legacy()) {
-    cost.remote_ns =
-        static_cast<std::uint64_t>(std::llround(inter_latency_s * 1e9));
-    cost.counter_ns = 2 * cost.remote_ns;
-    return cost;
-  }
-  const int n_nodes = (n_ranks + ranks_per_node - 1) / ranks_per_node;
-  const net::Topology topology = net::Topology::build(network, n_nodes);
-
-  // Mean hop count and mean per-byte serialization over all distinct
-  // node pairs — the expected route of a one-sided op under a uniform
-  // access pattern. Congestion is not modelled here (threads contend for
-  // real memory bandwidth instead); only the uncongested LogGP terms are.
-  double mean_hops = 0.0;
-  double mean_ser_per_byte = 0.0;
-  int pairs = 0;
-  std::vector<int> path;
-  for (int a = 0; a < n_nodes; ++a) {
-    for (int b = 0; b < n_nodes; ++b) {
-      if (a == b) continue;
-      path.clear();
-      topology.route(a, b, path);
-      mean_hops += static_cast<double>(path.size());
-      if (network.link_bandwidth > 0.0) {
-        for (int link : path) {
-          mean_ser_per_byte +=
-              1.0 / (network.link_bandwidth * topology.link_capacity(link));
-        }
-      }
-      ++pairs;
-    }
-  }
-  if (pairs > 0) {
-    mean_hops /= pairs;
-    mean_ser_per_byte /= pairs;
-  }
-  const double remote_s = inter_latency_s + network.per_message_overhead +
-                          network.per_hop_latency * mean_hops;
-  cost.remote_ns = static_cast<std::uint64_t>(std::llround(remote_s * 1e9));
-  cost.per_byte_ns =
-      static_cast<std::uint64_t>(std::llround(mean_ser_per_byte * 1e9));
-  cost.counter_ns = 2 * cost.remote_ns;
-  return cost;
-}
-
 int resolve_with_retries(const CommCostModel& cost, int rank,
                          std::uint64_t op_seq,
                          std::uint64_t op_latency_ns) {
@@ -142,53 +84,6 @@ const CommCostModel& Context::cost_model() const {
   return runtime_->cost_model_;
 }
 
-void Context::all_reduce_sum(std::span<double> data) {
-  Runtime& rt = *runtime_;
-  // Rank 0 prepares the shared accumulator before anyone adds to it.
-  if (rank_ == 0) {
-    rt.collective_buffer_.assign(data.size(), 0.0);
-  }
-  barrier();
-  {
-    std::lock_guard<std::mutex> lock(rt.collective_mutex_);
-    if (rt.collective_buffer_.size() != data.size()) {
-      throw std::invalid_argument(
-          "all_reduce_sum: ranks passed different buffer sizes");
-    }
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      rt.collective_buffer_[i] += data[i];
-    }
-  }
-  barrier();
-  inject_delay(cost_model().transfer_cost(rank_ != 0,
-                                          data.size() * sizeof(double)));
-  std::copy(rt.collective_buffer_.begin(), rt.collective_buffer_.end(),
-            data.begin());
-  barrier();  // nobody reuses the scratch until all have copied out
-}
-
-void Context::broadcast(std::span<double> data, int root) {
-  Runtime& rt = *runtime_;
-  if (root < 0 || root >= rt.size()) {
-    throw std::invalid_argument("broadcast: root out of range");
-  }
-  if (rank_ == root) {
-    rt.collective_buffer_.assign(data.begin(), data.end());
-  }
-  barrier();
-  if (rank_ != root) {
-    if (rt.collective_buffer_.size() != data.size()) {
-      throw std::invalid_argument(
-          "broadcast: ranks passed different buffer sizes");
-    }
-    inject_delay(
-        cost_model().transfer_cost(true, data.size() * sizeof(double)));
-    std::copy(rt.collective_buffer_.begin(), rt.collective_buffer_.end(),
-              data.begin());
-  }
-  barrier();
-}
-
 Runtime::Runtime(int n_ranks, CommCostModel cost_model)
     : n_ranks_(n_ranks), cost_model_(cost_model), barrier_(n_ranks) {
   if (n_ranks < 1) throw std::invalid_argument("Runtime: n_ranks < 1");
@@ -215,7 +110,11 @@ void Runtime::run(const std::function<void(Context&)>& body) {
 
   for (int r = 0; r < n_ranks_; ++r) {
     threads.emplace_back([this, r, &body, &first_error, &error_mutex] {
-      set_log_thread_tag("r" + std::to_string(r));
+      // Appended, not `"r" + ...`: gcc 12 warns falsely (-Wrestrict) on
+      // a literal + std::string temporary at -O3.
+      std::string tag = "r";
+      tag += std::to_string(r);
+      set_log_thread_tag(tag);
       Context ctx(this, r);
       try {
         body(ctx);

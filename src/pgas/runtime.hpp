@@ -13,11 +13,8 @@
 #include <barrier>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <span>
 #include <vector>
 
-#include "net/topology.hpp"
 #include "util/metrics.hpp"
 
 namespace emc::pgas {
@@ -50,20 +47,6 @@ struct CommCostModel {
   }
 
   bool faults_enabled() const { return drop_prob > 0.0; }
-
-  /// Derives the injected latencies from the same topology description
-  /// the simulator's NetworkModel consumes (src/net), so the threaded
-  /// runtime and the discrete-event simulator price remote operations
-  /// consistently. remote_ns folds in the per-message overhead and the
-  /// topology's mean inter-node hop latency; per_byte_ns is the mean
-  /// route's serialization per byte, rounded to this model's integer-ns
-  /// granularity; counter_ns is one remote round trip. A legacy-flat
-  /// config maps to the plain intra/inter latencies with free bytes.
-  /// Throws std::invalid_argument on a malformed config or rank counts.
-  static CommCostModel from_topology(const net::NetworkConfig& network,
-                                     int n_ranks, int ranks_per_node,
-                                     double intra_latency_s = 0.3e-6,
-                                     double inter_latency_s = 1.5e-6);
 };
 
 /// Busy-waits for the given simulated latency (no-op for 0).
@@ -88,14 +71,6 @@ class Context {
   int size() const;
   void barrier();
   const CommCostModel& cost_model() const;
-
-  /// Collective: element-wise sum of every rank's `data` in place, GA
-  /// DGOP-style. All ranks must pass buffers of the same length; the
-  /// call contains barriers (every rank must reach it).
-  void all_reduce_sum(std::span<double> data);
-
-  /// Collective: copies `data` from `root` to every rank's buffer.
-  void broadcast(std::span<double> data, int root);
 
  private:
   friend class Runtime;
@@ -139,10 +114,6 @@ class Runtime {
   int n_ranks_;
   CommCostModel cost_model_;
   std::barrier<> barrier_;
-  // Collective scratch: accumulation buffer guarded by a mutex between
-  // the barriers of a collective call.
-  std::mutex collective_mutex_;
-  std::vector<double> collective_buffer_;
   util::MetricsRegistry* metrics_ = nullptr;
   std::vector<RankBarrierMetrics> rank_metrics_;
 };

@@ -739,14 +739,10 @@ SimResult simulate_work_stealing(const MachineConfig& config,
     ++result.steals;
     const std::int64_t task = queues.pop_front(victim);
     --total_queued;
-    std::size_t migrated = 0;
-    if (options.steal_half) {
-      // Migrate up to half of the victim's remaining queue.
-      std::size_t extra = queues.size(victim) / 2;
-      migrated = extra;
-      while (extra-- > 0) {
-        queues.push_back(proc, queues.pop_front(victim));
-      }
+    // Migrate up to half of the victim's remaining queue.
+    const std::size_t migrated = queues.size(victim) / 2;
+    for (std::size_t i = 0; i < migrated; ++i) {
+      queues.push_back(proc, queues.pop_front(victim));
     }
     // The response carries the stolen task(s): control header plus one
     // payload per migrated task (zero under the legacy model).

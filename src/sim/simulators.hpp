@@ -68,13 +68,14 @@ enum class VictimPolicy {
 };
 
 struct StealOptions {
-  bool steal_half = true;
   VictimPolicy victim = VictimPolicy::kUniform;
   std::uint64_t seed = 7;
 };
 
-/// Work stealing from an initial placement. If `executed_by` is non-null
-/// it receives the executing proc per task (for retentive reuse).
+/// Work stealing from an initial placement. A successful steal takes the
+/// victim's oldest task and migrates half of what remains in its queue.
+/// If `executed_by` is non-null it receives the executing proc per task
+/// (for retentive reuse).
 SimResult simulate_work_stealing(const MachineConfig& config,
                                  std::span<const double> costs,
                                  const lb::Assignment& initial,

@@ -9,10 +9,11 @@
 // TaskRingPool replaces them with one flat arena of fixed-size task
 // chunks shared by every queue: a queue is a doubly-linked chain of
 // chunk ids with head/tail offsets, chunks are recycled through an
-// intrusive freelist, and the arena grows geometrically — so pushes and
-// pops are O(1), steady-state operation performs no heap allocation at
-// all, and a task migration (steal) moves an 8-byte id between two
-// chains in the same arena.
+// intrusive freelist, and the arena is sized up front for the task
+// count (growing geometrically only past it) — so pushes and pops are
+// O(1), the pool performs no heap allocation after construction, and
+// a task migration (steal) moves an 8-byte id between two chains in
+// the same arena.
 //
 // Deque semantics match the seed exactly: push_back/pop_back at the
 // owner's end, pop_front at the thieves' end.
@@ -26,13 +27,18 @@ namespace emc::sim {
 
 class TaskRingPool {
  public:
-  /// `n_queues` fixed queues; the arena is pre-sized for
-  /// `expected_tasks` total enqueued tasks (it still grows on demand).
+  /// `n_queues` fixed queues; the arena is pre-sized so it never grows
+  /// while at most `expected_tasks` tasks are enqueued at once: the head
+  /// and tail chunks of a non-empty queue each hold at least one task and
+  /// every chunk between them is full, so the queues never hold more
+  /// than ceil(expected_tasks / kChunkTasks) + 2 * n_queues chunks. A
+  /// smaller estimate still works; the arena then grows on demand.
   TaskRingPool(int n_queues, std::int64_t expected_tasks) {
     queues_.resize(static_cast<std::size_t>(n_queues));
     const std::size_t chunks =
-        static_cast<std::size_t>(expected_tasks / kChunkTasks) +
-        static_cast<std::size_t>(n_queues) / 4 + 4;
+        static_cast<std::size_t>((expected_tasks + kChunkTasks - 1) /
+                                 kChunkTasks) +
+        2 * static_cast<std::size_t>(n_queues);
     grow(chunks);
   }
 

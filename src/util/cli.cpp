@@ -94,8 +94,8 @@ bool Cli::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
-      std::cout << help_text();
-      return false;
+      std::cout << help_text() << std::flush;
+      std::exit(0);
     }
 
     const Option* opt = nullptr;

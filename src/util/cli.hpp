@@ -6,7 +6,7 @@
 //   emc::Cli cli("scf_water", "Run RHF on a water cluster");
 //   int n = 4;
 //   cli.add_int("waters", 'n', "number of water molecules", &n);
-//   if (!cli.parse(argc, argv)) return 1;   // prints error / --help
+//   if (!cli.parse(argc, argv)) return 2;   // prints the error
 //
 // Supported syntaxes: --name value, --name=value, -x value, --flag.
 
@@ -33,8 +33,9 @@ class Cli {
   void add_flag(const std::string& name, char short_name,
                 const std::string& help, bool* target);
 
-  /// Parses argv. Returns false (after printing a message to stderr or the
-  /// help text to stdout) if parsing failed or --help was requested.
+  /// Parses argv. Returns false (after printing a message to stderr) if
+  /// parsing failed. --help or -h prints the help text to stdout and
+  /// exits the process with status 0.
   bool parse(int argc, const char* const* argv);
 
   std::string help_text() const;

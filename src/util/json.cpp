@@ -225,7 +225,12 @@ std::string json_escape(const std::string& s) {
 }
 
 std::string json_quote(const std::string& s) {
-  return "\"" + json_escape(s) + "\"";
+  // Appended, not `"\"" + ...`: gcc 12 warns falsely (-Wrestrict) on a
+  // literal + std::string temporary at -O3.
+  std::string out(1, '"');
+  out += json_escape(s);
+  out += '"';
+  return out;
 }
 
 std::string format_double(double v) {

@@ -47,9 +47,11 @@ void set_log_thread_tag(const std::string& tag) { t_tag = tag; }
 
 const std::string& log_thread_tag() {
   if (t_tag.empty()) {
-    t_tag = "T" + std::to_string(
-                      g_next_thread_id.fetch_add(1,
-                                                 std::memory_order_relaxed));
+    // Appended, not `"T" + ...`: gcc 12 warns falsely (-Wrestrict) on a
+    // literal + std::string temporary at -O3.
+    t_tag = 'T';
+    t_tag += std::to_string(
+        g_next_thread_id.fetch_add(1, std::memory_order_relaxed));
   }
   return t_tag;
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -251,15 +252,26 @@ TEST(SlotSchedulerTest, EveryExecutorMakesACounterOp) {
 
 TEST(SlotSchedulerTest, SkewedHomeUnderStealingSteals) {
   // Everything starts on rank 0; other ranks can only contribute by
-  // stealing, so at least one steal must succeed.
+  // stealing, so at least one steal must succeed. Rank 0 holds its
+  // slots until another rank has run one, so the outcome does not
+  // depend on the other rank threads starting before rank 0 drains its
+  // queue; the wait is bounded, so a stealer that never steals fails
+  // the test instead of hanging it.
   const std::int64_t n = 500;
   emc::pgas::Runtime runtime(4);
   SlotScheduler scheduler(runtime, 1);
   const emc::lb::Assignment home(static_cast<std::size_t>(n), 0);
   std::vector<std::atomic<int>> executor(static_cast<std::size_t>(n));
+  std::atomic<bool> helped{false};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
   const ExecutionStats stats = scheduler.run(
       make_schedule(Policy::kWorkStealing, Policy::kStatic), home,
       [&](std::int64_t s, int rank, RankStats&) {
+        if (rank != 0) helped.store(true);
+        while (!helped.load() && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
         spin();
         executor[static_cast<std::size_t>(s)].store(rank);
       });

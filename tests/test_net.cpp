@@ -13,7 +13,6 @@
 #include "lb/simple.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
-#include "pgas/runtime.hpp"
 #include "sim/simulators.hpp"
 #include "util/rng.hpp"
 
@@ -355,31 +354,8 @@ TEST(SimulatorNetTest, DeterministicUnderCongestion) {
 }
 
 // ---------------------------------------------------------------------------
-// PGAS cost model + task payload sizing
+// Task payload sizing
 // ---------------------------------------------------------------------------
-
-TEST(CommCostModelTest, FromTopologyLegacyMapsToEndpointLatencies) {
-  const auto cost = emc::pgas::CommCostModel::from_topology(
-      NetworkConfig{}, 8, 4);
-  EXPECT_EQ(cost.local_ns, 300u);
-  EXPECT_EQ(cost.remote_ns, 1500u);
-  EXPECT_EQ(cost.per_byte_ns, 0u);
-  EXPECT_EQ(cost.counter_ns, 3000u);
-}
-
-TEST(CommCostModelTest, FromTopologyPricesBandwidthAndHops) {
-  NetworkConfig config = crossbar_config(1e9);
-  config.per_message_overhead = 0.5e-6;
-  const auto cost =
-      emc::pgas::CommCostModel::from_topology(config, 8, 1);
-  // Every inter-node route is 2 unit-capacity links at 1 GB/s: 2 ns/B.
-  EXPECT_EQ(cost.per_byte_ns, 2u);
-  EXPECT_EQ(cost.remote_ns, 2000u);  // 1.5 us + 0.5 us overhead
-  EXPECT_EQ(cost.counter_ns, 2 * cost.remote_ns);
-  EXPECT_THROW(
-      emc::pgas::CommCostModel::from_topology(NetworkConfig{}, 0, 1),
-      std::invalid_argument);
-}
 
 TEST(TaskPayloadTest, MeanTaskCommBytesMatchesStripeSizes) {
   const emc::core::TaskModel model = emc::core::build_task_model("water");

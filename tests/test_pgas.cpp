@@ -88,43 +88,6 @@ TEST(GlobalCounterTest, ConcurrentGrabsAreUniqueAndComplete) {
   for (const auto& c : claimed) EXPECT_EQ(c.load(), 1);
 }
 
-TEST(CollectiveTest, AllReduceSumsEveryRank) {
-  const int n_ranks = 6;
-  Runtime rt(n_ranks);
-  rt.run([&](Context& ctx) {
-    std::vector<double> data{static_cast<double>(ctx.rank()), 1.0,
-                             static_cast<double>(ctx.rank()) * 10.0};
-    ctx.all_reduce_sum(data);
-    // sum of ranks 0..5 = 15.
-    EXPECT_DOUBLE_EQ(data[0], 15.0);
-    EXPECT_DOUBLE_EQ(data[1], 6.0);
-    EXPECT_DOUBLE_EQ(data[2], 150.0);
-  });
-}
-
-TEST(CollectiveTest, AllReduceRepeatable) {
-  Runtime rt(4);
-  rt.run([&](Context& ctx) {
-    for (int round = 1; round <= 3; ++round) {
-      std::vector<double> data{1.0};
-      ctx.all_reduce_sum(data);
-      EXPECT_DOUBLE_EQ(data[0], 4.0) << "round " << round;
-    }
-  });
-}
-
-TEST(CollectiveTest, BroadcastFromEveryRoot) {
-  const int n_ranks = 4;
-  Runtime rt(n_ranks);
-  for (int root = 0; root < n_ranks; ++root) {
-    rt.run([&](Context& ctx) {
-      std::vector<double> data(3, ctx.rank() == root ? 42.5 : 0.0);
-      ctx.broadcast(data, root);
-      for (double x : data) EXPECT_DOUBLE_EQ(x, 42.5);
-    });
-  }
-}
-
 TEST(GlobalArrayTest, OwnershipCoversAllRowsInOrder) {
   GlobalArray ga(100, 10, 7);
   int prev_owner = 0;
@@ -198,15 +161,6 @@ TEST(GlobalArrayTest, StripeSpanningOperations) {
   std::vector<double> out(12 * 4);
   ga.get(3, 0, 0, 12, 4, out, m);
   EXPECT_EQ(out, patch);
-}
-
-TEST(GlobalArrayTest, FillResets) {
-  GlobalArray ga(4, 4, 2);
-  CommCostModel m;
-  const std::vector<double> v{7.0};
-  ga.put(0, 1, 1, 1, 1, v, m);
-  ga.fill(0.0);
-  EXPECT_DOUBLE_EQ(ga.at(1, 1), 0.0);
 }
 
 TEST(CommCostModelTest, TransferCostComposition) {

@@ -175,21 +175,6 @@ TEST(SimulateStealTest, NoStealsWhenPerfectlyBalanced) {
   EXPECT_LT(r.steals, 40);
 }
 
-TEST(SimulateStealTest, StealHalfMovesFewerRoundTrips) {
-  // steal-half should need fewer successful steals than steal-one to
-  // drain the same skewed distribution.
-  MachineConfig c = quiet_machine(16);
-  const std::vector<double> costs(1024, 5e-5);
-  const Assignment all_on_zero(costs.size(), 0);
-  StealOptions one;
-  one.steal_half = false;
-  StealOptions half;
-  half.steal_half = true;
-  const SimResult r1 = simulate_work_stealing(c, costs, all_on_zero, one);
-  const SimResult rh = simulate_work_stealing(c, costs, all_on_zero, half);
-  EXPECT_LT(rh.steals, r1.steals);
-}
-
 TEST(SimulateRetentiveTest, LaterRoundsImprove) {
   // Retention: round 2+ inherits the stolen placement, so steals and
   // makespan should drop relative to round 1.

@@ -280,10 +280,10 @@ TEST(CliTest, MissingValueFails) {
   EXPECT_FALSE(cli.parse(2, argv));
 }
 
-TEST(CliTest, HelpReturnsFalse) {
+TEST(CliTest, HelpExitsZero) {
   Cli cli("prog", "test");
   const char* argv[] = {"prog", "--help"};
-  EXPECT_FALSE(cli.parse(2, argv));
+  EXPECT_EXIT(cli.parse(2, argv), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(LogTest, LevelNamesAndThreshold) {

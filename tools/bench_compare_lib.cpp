@@ -17,8 +17,16 @@ using util::JsonValue;
 /// Subtrees owned by the host, not the workload: everything under them
 /// is advisory.
 bool is_metrics_key(const std::string& key) {
-  return key == "metrics" || key == "featured_metrics" ||
-         key == "histograms";
+  return key == "metrics" || key == "histograms";
+}
+
+/// "[3 items]"-style summary, built by appending: gcc 12 warns falsely
+/// (-Wrestrict) on a literal + std::string temporary at -O3.
+std::string count_of(char open, std::size_t n, const char* close) {
+  std::string out(1, open);
+  out += std::to_string(n);
+  out += close;
+  return out;
 }
 
 std::string render(const JsonValue& v) {
@@ -28,9 +36,9 @@ std::string render(const JsonValue& v) {
     case JsonValue::Kind::kNumber: return util::format_double(v.number);
     case JsonValue::Kind::kString: return v.str;
     case JsonValue::Kind::kArray:
-      return "[" + std::to_string(v.array.size()) + " items]";
+      return count_of('[', v.array.size(), " items]");
     case JsonValue::Kind::kObject:
-      return "{" + std::to_string(v.object.size()) + " keys}";
+      return count_of('{', v.object.size(), " keys}");
   }
   return "?";
 }
@@ -92,8 +100,8 @@ struct Walker {
     }
   }
 
-  void compare(const std::string& path, const std::string& key,
-               const JsonValue& base, const JsonValue& cand, bool noisy) {
+  void compare(const std::string& path, const JsonValue& base,
+               const JsonValue& cand, bool noisy) {
     if (base.kind != cand.kind) {
       ++result.compared;
       // Null on one side is the JsonWriter's NaN/Inf guard firing:
@@ -150,7 +158,7 @@ struct Walker {
             "key missing from candidate (renamed?)");
         continue;
       }
-      compare(child, key, bval, cand.object.at(key),
+      compare(child, bval, cand.object.at(key),
               noisy || is_noisy_key(key) || is_metrics_key(key));
     }
     for (const auto& [key, cval] : cand.object) {
@@ -222,7 +230,7 @@ struct Walker {
               "cell missing from candidate");
           continue;
         }
-        compare(child, "", *bcell, *it->second, noisy);
+        compare(child, *bcell, *it->second, noisy);
       }
       for (const auto& [key, ccell] : cand_cells) {
         if (!base_cells.count(key)) {
@@ -239,7 +247,7 @@ struct Walker {
       return;
     }
     for (std::size_t i = 0; i < base.array.size(); ++i) {
-      compare(path + "[" + std::to_string(i) + "]", "", base.array[i],
+      compare(path + "[" + std::to_string(i) + "]", base.array[i],
               cand.array[i], noisy);
     }
   }
@@ -262,7 +270,7 @@ CompareResult compare_reports(const JsonValue& baseline,
                               const JsonValue& candidate,
                               const CompareOptions& options) {
   Walker walker{options, {}};
-  walker.compare("", "", baseline, candidate, false);
+  walker.compare("", baseline, candidate, false);
   auto severity = [](DeltaStatus s) { return s == DeltaStatus::kFail ? 0 : 1; };
   std::stable_sort(walker.result.deltas.begin(), walker.result.deltas.end(),
                    [&](const Delta& a, const Delta& b) {

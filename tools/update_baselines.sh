@@ -25,8 +25,6 @@ run() {
 
 run bench_simspeed --smoke --report="$scratch/BENCH_simspeed.json"
 run bench_kernel   --smoke --json="$scratch/BENCH_kernel.json"
-run bench_faults   --smoke --report="$scratch/BENCH_faults.json"
-run bench_topology --smoke --report="$scratch/BENCH_topology.json"
 run bench_trace    --smoke --report="$scratch/BENCH_trace.json" \
                    --trace=BENCH_trace.chrome.json
 run bench_hybrid   --smoke --report="$scratch/BENCH_hybrid.json"
@@ -35,7 +33,7 @@ run bench_model_fit --smoke --report="$scratch/BENCH_model_fit.json"
 run bench_paper    # takes no flags; writes BENCH_paper.json to its cwd
 
 mkdir -p "$baselines"
-for b in simspeed kernel faults topology trace hybrid serve model_fit paper; do
+for b in simspeed kernel trace hybrid serve model_fit paper; do
   "$compare" --update-baseline \
     "$baselines/BENCH_$b.json" "$scratch/BENCH_$b.json"
 done
