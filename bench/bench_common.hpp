@@ -1,7 +1,7 @@
 #pragma once
 
 // Shared helpers for the experiment benches: machine setup, the
-// header every bench prints so runs are self-describing and replayable,
+// header a bench prints to say which claim and workload a run measures,
 // and (via manifest.hpp) the provenance envelope + run footer every
 // artifact-emitting bench stamps into its BENCH_*.json report.
 
@@ -40,13 +40,6 @@ inline sim::MachineConfig make_machine(int procs, int ppn = 0) {
   return config;
 }
 
-/// True when `flag` appears verbatim on the command line. Drivers use it
-/// to load a preset (the --smoke sizes) before emc::Cli parses, so
-/// explicit flags override the preset whatever their order.
-inline bool has_flag(int argc, char** argv, const std::string& flag) {
-  return std::find(argv + 1, argv + argc, flag) != argv + argc;
-}
-
 /// Keeps `value`, and the work that produced it, from being optimized
 /// away: an empty asm that reads it from memory and clobbers memory.
 template <typename T>
@@ -56,8 +49,7 @@ inline void do_not_optimize(const T& value) {
 
 inline void print_header(const std::string& experiment,
                          const std::string& claim,
-                         const core::TaskModel& model,
-                         std::uint64_t seed = 1) {
+                         const core::TaskModel& model) {
   std::cout << "##############################################\n"
             << "# " << experiment << "\n"
             << "# claim: " << claim << "\n"
@@ -65,7 +57,6 @@ inline void print_header(const std::string& experiment,
             << model.basis.function_count() << " basis functions, "
             << model.task_count() << " tasks, total cost "
             << model.total_cost() << " sim-seconds\n"
-            << "# seed: " << seed << "\n"
             << "##############################################\n";
 }
 

@@ -1,47 +1,28 @@
-// EXP-13 driver: the measured shared-memory twin of the simulated
-// execution-model rankings. The REAL Fock kernel runs hierarchically —
-// PGAS ranks × pool threads — under every (inter model × intra-rank
-// policy) combination, and the driver measures wall-clock speedup
-// curves per thread count plus peak RSS, while GATING on the hybrid
-// build's correctness contract:
+// EXP-13 driver: measured wall time of the real hybrid ranks × threads
+// Fock build under the five (inter model × intra-rank policy) combos.
 //
-//   1. Bitwise determinism. For every deterministic task→rank
-//      assignment (the static inter model, or ANY inter model at one
-//      rank) the G matrix must be bitwise identical across thread
-//      counts, intra policies, and scheduling interleavings — the
-//      fixed-slot partition + fixed-shape tree reduction promise
-//      (DESIGN.md "Hybrid execution").
-//   2. Task conservation. Execution stats stay in task units: every
-//      cell must account for exactly the full task list.
-//   3. Fault determinism. With task faults injected, the build stays
-//      bitwise identical to the clean one and the re-execution count
-//      replays exactly across thread counts.
-//   4. Closeness. Cells with nondeterministic cross-rank accumulate
-//      ordering (counter/ws at >2 ranks... gated within 1e-10).
+// The five combos run as interleaved repeats (ABCDE ABCDE ...), so a
+// co-tenant's load spike lands on every combo alike instead of on one
+// cell. Each repeat times every thread count of a combo, t1 included,
+// so each speedup is t1 / tT from the same repeat. The table prints the
+// median and interquartile range (IQR) of wall time and speedup per
+// cell. Ranks are {1, 2}; threads per rank are the powers of two up to
+// hardware_concurrency() / ranks. Every builder runs one untimed warm-up
+// build first, so the repeats time the steady state an SCF loop sees.
 //
-// Wall-clock, speedup, and RSS fields are HOSTWARE: bench_compare
-// treats them as advisory (this host's core count is weather, not
-// signal); the determinism booleans and integer counters above gate
-// exactly against bench/baselines/BENCH_hybrid.json.
+// The numbers are this host's wall time and go to stdout only. The
+// build's correctness contract (bitwise G across threads and policies,
+// task conservation, fault replay, closeness to the sequential build)
+// is pinned by HybridFockTest in tests/test_distributed_fock.cpp.
 //
-// Flags:
-//   --smoke            tiny workload (water2, ranks {1,2}, threads
-//                      {1,2,8}) for CI
-//   --molecule=NAME    workload molecule (default water27)
-//   --ranks=R          run only this rank count (default: 1 and 2)
-//   --max-threads=T    cap the thread sweep (default 8)
-//   --seed=S           steal victim-selection seed (default 7)
-//   --report=PATH      JSON report output (default BENCH_hybrid.json)
-//
-// Exit status: nonzero on any determinism/conservation violation or an
-// invalid report file.
+//   ./build/bench/bench_hybrid [--molecule=NAME]   (default water8)
 
 #include <algorithm>
-#include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <exception>
 #include <iostream>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,7 +32,8 @@
 #include "core/task_model.hpp"
 #include "linalg/matrix.hpp"
 #include "pgas/runtime.hpp"
-#include "util/json.hpp"
+#include "util/stats.hpp"
+#include "util/table.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -62,50 +44,22 @@ using core::DistributedFockOptions;
 using core::ExecModel;
 using core::IntraPolicy;
 
-struct Options {
-  bool smoke = false;
-  std::string molecule = "water27";
-  int only_ranks = 0;  ///< 0 = sweep {1, 2}
-  int max_threads = 8;
-  std::uint64_t seed = 7;
-  std::string report_path = "BENCH_hybrid.json";
-};
+/// Timed repeats per cell; the median and IQR come from these.
+constexpr int kRepeats = 7;
 
 struct Combo {
   ExecModel model;
   IntraPolicy intra;
-  const char* model_name;
-  const char* intra_name;
+  const char* name;
 };
 
 constexpr Combo kCombos[] = {
-    {ExecModel::kStatic, IntraPolicy::kStatic, "static", "static"},
-    {ExecModel::kStatic, IntraPolicy::kCounter, "static", "counter"},
-    {ExecModel::kStatic, IntraPolicy::kWorkStealing, "static", "ws"},
-    {ExecModel::kCounter, IntraPolicy::kCounter, "counter", "counter"},
-    {ExecModel::kWorkStealing, IntraPolicy::kWorkStealing, "ws", "ws"},
+    {ExecModel::kStatic, IntraPolicy::kStatic, "static+static"},
+    {ExecModel::kStatic, IntraPolicy::kCounter, "static+counter"},
+    {ExecModel::kStatic, IntraPolicy::kWorkStealing, "static+ws"},
+    {ExecModel::kCounter, IntraPolicy::kCounter, "counter+counter"},
+    {ExecModel::kWorkStealing, IntraPolicy::kWorkStealing, "ws+ws"},
 };
-
-struct Cell {
-  std::string name;  ///< identity key: "<model>+<intra>/r<R>/t<T>"
-  std::string model;
-  std::string intra;
-  int ranks = 1;
-  int threads = 1;
-  std::int64_t tasks = 0;
-  bool gated_bitwise = false;     ///< deterministic config: memcmp gate
-  bool bitwise_identical = false; ///< vs the rank-count reference
-  bool close_to_reference = false;
-  double wall_seconds = 0.0;
-  double speedup = 1.0;  ///< vs threads=1 of the same (combo, ranks)
-  std::int64_t peak_rss_bytes = 0;
-};
-
-bool bitwise_equal(const linalg::Matrix& a, const linalg::Matrix& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::memcmp(a.data(), b.data(),
-                     a.rows() * a.cols() * sizeof(double)) == 0;
-}
 
 linalg::Matrix make_density(std::size_t n) {
   linalg::Matrix density(n, n);
@@ -117,275 +71,114 @@ linalg::Matrix make_density(std::size_t n) {
   return density;
 }
 
-DistributedFockOptions base_options(const Options& opt) {
+/// One runtime + builder, kept for every repeat of its cell.
+struct Engine {
+  std::unique_ptr<pgas::Runtime> runtime;
+  std::unique_ptr<DistributedFockBuilder> builder;
+};
+
+Engine make_engine(const chem::BasisSet& basis, const Combo& combo,
+                   int ranks, int threads) {
   DistributedFockOptions o;
+  o.model = combo.model;
+  o.intra_policy = combo.intra;
+  o.threads = threads;
   o.static_balancer = "lpt";
-  o.steal.seed = opt.seed;
   o.intra_chunk = 2;
-  return o;
+  Engine e;
+  e.runtime = std::make_unique<pgas::Runtime>(ranks);
+  e.builder =
+      std::make_unique<DistributedFockBuilder>(basis, *e.runtime, o);
+  return e;
 }
 
-int run(const Options& opt) {
-  core::TaskModelOptions model_opts;
-  const core::TaskModel model =
-      core::build_task_model(opt.molecule, model_opts);
-  emc::bench::print_header(
-      "bench_hybrid (EXP-13)",
-      "ranks x threads Fock build: bitwise-deterministic tree reduction, "
-      "measured speedup per (model x intra policy x threads)",
-      model, opt.seed);
+/// "median (IQR)" of a sample.
+std::string median_iqr(const std::vector<double>& xs) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.3f (%.3f)", percentile(xs, 0.5),
+                percentile(xs, 0.75) - percentile(xs, 0.25));
+  return buf;
+}
 
-  const auto n = static_cast<std::size_t>(model.basis.function_count());
-  const auto n_tasks = static_cast<std::int64_t>(model.task_count());
-  const linalg::Matrix density = make_density(n);
-
-  std::vector<int> rank_counts;
-  if (opt.only_ranks > 0) {
-    rank_counts.push_back(opt.only_ranks);
-  } else {
-    rank_counts = {1, 2};
-  }
+void sweep_ranks(const core::TaskModel& model,
+                 const linalg::Matrix& density, int ranks) {
+  const int max_threads = std::max(
+      1, static_cast<int>(std::thread::hardware_concurrency()) / ranks);
   std::vector<int> thread_counts;
-  for (const int t : {1, 2, 4, 8}) {
-    if (opt.smoke && t == 4) continue;  // {1,2,8}: the determinism set
-    if (t <= opt.max_threads) thread_counts.push_back(t);
+  for (int t = 1; t <= max_threads; t *= 2) thread_counts.push_back(t);
+  const std::size_t n_combos = std::size(kCombos);
+  const std::size_t n_threads = thread_counts.size();
+
+  // engines[c][k] and seconds[c][k][rep] for combo c at thread_counts[k].
+  std::vector<std::vector<Engine>> engines(n_combos);
+  for (std::size_t c = 0; c < n_combos; ++c) {
+    for (const int threads : thread_counts) {
+      engines[c].push_back(make_engine(model.basis, kCombos[c], ranks,
+                                       threads));
+      engines[c].back().builder->build_g(density);  // warm-up
+    }
   }
-
-  // Rank-count references: static/lpt, threads=1 — the classic serial
-  // per-rank loop every deterministic cell must reproduce bitwise.
-  std::vector<linalg::Matrix> reference(
-      static_cast<std::size_t>(*std::max_element(rank_counts.begin(),
-                                                 rank_counts.end())) +
-      1);
-  std::int64_t slot_count = 0;
-  for (const int ranks : rank_counts) {
-    pgas::Runtime runtime(ranks);
-    DistributedFockOptions o = base_options(opt);
-    o.model = ExecModel::kStatic;
-    o.threads = 1;
-    DistributedFockBuilder builder(model.basis, runtime, o);
-    reference[static_cast<std::size_t>(ranks)] = builder.build_g(density);
-    slot_count = builder.slot_count();
-  }
-
-  bool all_bitwise = true;
-  bool all_close = true;
-  bool tasks_conserved = true;
-  std::vector<Cell> cells;
-
-  for (const int ranks : rank_counts) {
-    const linalg::Matrix& ref = reference[static_cast<std::size_t>(ranks)];
-    for (const Combo& combo : kCombos) {
-      double wall_t1 = 0.0;
-      for (const int threads : thread_counts) {
-        pgas::Runtime runtime(ranks);
-        DistributedFockOptions o = base_options(opt);
-        o.model = combo.model;
-        o.intra_policy = combo.intra;
-        o.threads = threads;
-        DistributedFockBuilder builder(model.basis, runtime, o);
-        emc::Timer timer;
-        const linalg::Matrix g = builder.build_g(density);
-        Cell cell;
-        cell.wall_seconds = timer.seconds();
-        cell.name = std::string(combo.model_name) + "+" +
-                    combo.intra_name + "/r" + std::to_string(ranks) +
-                    "/t" + std::to_string(threads);
-        cell.model = combo.model_name;
-        cell.intra = combo.intra_name;
-        cell.ranks = ranks;
-        cell.threads = threads;
-        cell.tasks = builder.last_stats().total_tasks();
-        // Static inter keeps the task->rank map fixed; 1 rank removes
-        // cross-rank accumulate ordering entirely. Either way the
-        // result must be BITWISE the reference. (2-rank accumulate
-        // commutes bitwise, so static r2 is exact too.)
-        cell.gated_bitwise =
-            combo.model == ExecModel::kStatic || ranks == 1;
-        cell.bitwise_identical = bitwise_equal(ref, g);
-        cell.close_to_reference = ref.almost_equal(g, 1e-10);
-        if (threads == 1) wall_t1 = cell.wall_seconds;
-        cell.speedup = cell.wall_seconds > 0.0 && wall_t1 > 0.0
-                           ? wall_t1 / cell.wall_seconds
-                           : 1.0;
-        cell.peak_rss_bytes = emc::bench::peak_rss_bytes();
-
-        if (cell.tasks != n_tasks) {
-          std::cerr << "FAIL: " << cell.name << " accounted "
-                    << cell.tasks << " tasks, expected " << n_tasks
-                    << "\n";
-          tasks_conserved = false;
-        }
-        if (cell.gated_bitwise && !cell.bitwise_identical) {
-          std::cerr << "FAIL: " << cell.name
-                    << " is not bitwise identical to the reference\n";
-          all_bitwise = false;
-        }
-        if (!cell.close_to_reference) {
-          std::cerr << "FAIL: " << cell.name
-                    << " deviates from the reference beyond 1e-10\n";
-          all_close = false;
-        }
-        cells.push_back(std::move(cell));
+  std::vector<std::vector<std::vector<double>>> seconds(
+      n_combos, std::vector<std::vector<double>>(n_threads));
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (std::size_t c = 0; c < n_combos; ++c) {
+      for (std::size_t k = 0; k < n_threads; ++k) {
+        Timer timer;
+        engines[c][k].builder->build_g(density);
+        seconds[c][k].push_back(timer.seconds());
       }
     }
   }
 
-  // Fault determinism: same static 2-rank (or --ranks) config under
-  // task faults, at the extreme thread counts. Bitwise vs CLEAN
-  // reference, and the re-execution count replays exactly.
-  const int fault_ranks = rank_counts.back();
-  bool fault_bitwise = true;
-  bool fault_replay = true;
-  std::int64_t fault_reexecs = -1;
-  for (const int threads : {thread_counts.front(), thread_counts.back()}) {
-    pgas::Runtime runtime(fault_ranks);
-    DistributedFockOptions o = base_options(opt);
-    o.model = ExecModel::kStatic;
-    o.intra_policy = IntraPolicy::kWorkStealing;
-    o.threads = threads;
-    o.task_faults.fail_prob = 0.3;
-    o.task_faults.reexec_delay_ns = 100;
-    DistributedFockBuilder builder(model.basis, runtime, o);
-    const linalg::Matrix g = builder.build_g(density);
-    if (!bitwise_equal(reference[static_cast<std::size_t>(fault_ranks)],
-                       g)) {
-      std::cerr << "FAIL: faulted build (t=" << threads
-                << ") is not bitwise identical to the clean one\n";
-      fault_bitwise = false;
-    }
-    if (fault_reexecs < 0) {
-      fault_reexecs = builder.last_task_reexecutions();
-    } else if (builder.last_task_reexecutions() != fault_reexecs) {
-      std::cerr << "FAIL: re-execution count changed under threading ("
-                << fault_reexecs << " -> "
-                << builder.last_task_reexecutions() << ")\n";
-      fault_replay = false;
-    }
+  std::vector<std::string> headers = {"combo"};
+  for (const int t : thread_counts) {
+    headers.push_back("t" + std::to_string(t) + " wall s");
+    if (t > 1) headers.push_back("t" + std::to_string(t) + " speedup");
   }
-  if (fault_reexecs <= 0) {
-    std::cerr << "FAIL: fault injection re-executed nothing\n";
-    fault_replay = false;
-  }
-
-  // Human-readable speedup table.
-  std::cout << "\nwall-clock per cell (speedup vs t1 of the same row; "
-               "hostware — this host has "
-            << std::thread::hardware_concurrency() << " core(s)):\n";
-  for (const int ranks : rank_counts) {
-    for (const Combo& combo : kCombos) {
-      std::cout << "  r" << ranks << " " << combo.model_name << "+"
-                << combo.intra_name << ":";
-      for (const Cell& cell : cells) {
-        if (cell.ranks != ranks || cell.model != combo.model_name ||
-            cell.intra != combo.intra_name) {
-          continue;
-        }
-        std::printf(" t%d=%.3fs(x%.2f)", cell.threads, cell.wall_seconds,
-                    cell.speedup);
+  Table table(headers);
+  for (std::size_t c = 0; c < n_combos; ++c) {
+    std::vector<Cell> row = {std::string(kCombos[c].name)};
+    for (std::size_t k = 0; k < n_threads; ++k) {
+      row.push_back(median_iqr(seconds[c][k]));
+      if (k == 0) continue;
+      std::vector<double> speedup;
+      for (int rep = 0; rep < kRepeats; ++rep) {
+        speedup.push_back(seconds[c][0][rep] / seconds[c][k][rep]);
       }
-      std::cout << "\n";
+      row.push_back(median_iqr(speedup));
     }
+    table.add_row(std::move(row));
   }
-  std::cout << "fault check (r" << fault_ranks << "): "
-            << (fault_bitwise ? "bitwise" : "MISMATCH") << ", "
-            << fault_reexecs << " re-executions, replay "
-            << (fault_replay ? "exact" : "BROKEN") << "\n";
-
-  const bool passed =
-      all_bitwise && all_close && tasks_conserved && fault_bitwise &&
-      fault_replay;
-
-  {
-    std::ofstream out(opt.report_path);
-    if (!out) {
-      std::cerr << "FAIL: cannot write " << opt.report_path << "\n";
-      return 1;
-    }
-    emc::bench::JsonWriter json(out);
-    json.begin_object();
-    emc::bench::write_manifest(json, "bench_hybrid",
-                               opt.smoke ? "smoke" : "full", opt.seed);
-    json.field("bench", "bench_hybrid");
-    json.field("experiment", "EXP-13");
-    json.field("molecule", opt.molecule);
-    json.field("basis_functions", static_cast<std::int64_t>(n));
-    json.field("tasks", n_tasks);
-    json.field("reduction_slots", slot_count);
-    json.begin_array("cells");
-    for (const Cell& cell : cells) {
-      json.begin_object();
-      json.field("name", cell.name);
-      json.field("model", cell.model);
-      json.field("intra", cell.intra);
-      json.field("ranks", cell.ranks);
-      json.field("threads", cell.threads);
-      json.field("tasks", cell.tasks);
-      json.field("gated_bitwise", cell.gated_bitwise);
-      // Only gated cells promise bitwise identity; for racy task->rank
-      // maps (dynamic inter models at >1 rank) the raw flag is
-      // interleaving-dependent — emitting it would make the exact-gate
-      // baseline compare flaky.
-      if (cell.gated_bitwise) {
-        json.field("bitwise_identical", cell.bitwise_identical);
-      }
-      json.field("close_to_reference", cell.close_to_reference);
-      json.field("wall_seconds", cell.wall_seconds);
-      json.field("speedup", cell.speedup);
-      json.field("peak_rss_bytes", cell.peak_rss_bytes);
-      json.end_object();
-    }
-    json.end_array();
-    json.begin_object("fault_check");
-    json.field("ranks", fault_ranks);
-    json.field("task_reexecutions", fault_reexecs);
-    json.field("bitwise_identical_to_clean", fault_bitwise);
-    json.field("reexecs_deterministic", fault_replay);
-    json.end_object();
-    json.begin_object("checks");
-    json.field("all_gated_cells_bitwise", all_bitwise);
-    json.field("all_cells_close", all_close);
-    json.field("tasks_conserved", tasks_conserved);
-    json.field("passed", passed);
-    json.end_object();
-    emc::bench::write_run_footer(json);
-    json.end_object();
-  }
-
-  if (const std::string bad = emc::bench::validate_report(opt.report_path);
-      !bad.empty()) {
-    std::cerr << "FAIL: " << bad << "\n";
-    return 1;
-  }
-  std::cout << "wrote " << opt.report_path << " (validated)\n";
-
-  if (!passed) return 1;
-  std::cout << "PASS\n";
-  return 0;
+  std::cout << "\n";
+  table.print(std::cout, "ranks " + std::to_string(ranks) +
+                             ": median (IQR) of " +
+                             std::to_string(kRepeats) +
+                             " interleaved repeats; speedup vs t1 of the "
+                             "same repeat");
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  Options opt;
-  if (emc::bench::has_flag(argc, argv, "--smoke")) opt.molecule = "water2";
-  auto seed = static_cast<std::int64_t>(opt.seed);
-  emc::Cli cli("bench_hybrid",
-               "hybrid ranks x threads Fock build sweep and gate");
-  cli.add_flag("smoke", '\0', "small workload + gates (CI)", &opt.smoke);
-  cli.add_string("molecule", '\0', "workload molecule", &opt.molecule);
-  cli.add_int("ranks", '\0', "only this rank count (0 = sweep {1, 2})",
-              &opt.only_ranks);
-  cli.add_int("max-threads", '\0', "largest threads per rank",
-              &opt.max_threads);
-  cli.add_int("seed", '\0', "steal victim-selection seed", &seed);
-  cli.add_string("report", '\0', "JSON report path", &opt.report_path);
+int main(int argc, char** argv) try {
+  std::string molecule = "water8";
+  Cli cli("bench_hybrid",
+          "interleaved wall-time sweep of the hybrid Fock build combos");
+  cli.add_string("molecule", '\0', "workload molecule", &molecule);
   if (!cli.parse(argc, argv)) return 2;
-  opt.seed = static_cast<std::uint64_t>(seed);
-  try {
-    return run(opt);
-  } catch (const std::exception& e) {
-    std::cerr << "FAIL: " << e.what() << "\n";
-    return 1;
-  }
+
+  const core::TaskModel model = core::build_task_model(molecule);
+  bench::print_header(
+      "bench_hybrid (EXP-13)",
+      "measured wall time of the ranks x threads Fock build per "
+      "(inter model x intra policy) combo",
+      model);
+  std::cout << "host: " << std::thread::hardware_concurrency()
+            << " hardware threads\n";
+  const linalg::Matrix density = make_density(
+      static_cast<std::size_t>(model.basis.function_count()));
+  for (const int ranks : {1, 2}) sweep_ranks(model, density, ranks);
+  return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_hybrid: " << e.what() << "\n";
+  return 2;
 }

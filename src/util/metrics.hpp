@@ -7,8 +7,8 @@
 // metrics up by name when instrumentation is attached (registration takes
 // a lock) and then holds plain references whose updates are single
 // relaxed atomics — cheap enough for PGAS one-sided-op and scheduler hot
-// paths. Snapshots, reset, and text/JSON export serve the observability
-// reports (bench_trace, EXP-3/EXP-8 anatomy).
+// paths. Snapshots serve the observability readers (scf_server's
+// per-tenant summary, perfbench's per-layer attribution).
 
 #include <array>
 #include <atomic>

@@ -87,16 +87,6 @@ TEST(BenchCompare, StrictNoiseEscalatesToFailure) {
   EXPECT_FALSE(r.ok());
 }
 
-TEST(BenchCompare, MetricsSubtreeIsAdvisoryEvenForIntegers) {
-  // Per-rank runtime counters from the real threaded PGAS runtime are
-  // nondeterministic; inside "metrics" even integers only warn.
-  const CompareResult r =
-      compare(R"({"metrics": {"counters": {"pgas/r1/nxtval_ops": 2}}})",
-              R"({"metrics": {"counters": {"pgas/r1/nxtval_ops": 8}}})");
-  EXPECT_TRUE(r.ok());
-  EXPECT_EQ(r.warnings, 1);
-}
-
 TEST(BenchCompare, MissingKeyFails) {
   const CompareResult r =
       compare(R"({"events": 1, "steals": 2})", R"({"events": 1})");

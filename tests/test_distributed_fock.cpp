@@ -532,20 +532,37 @@ TEST_F(HybridFockTest, RandomizedDifferentialAgainstSequential) {
   const IntraPolicy intras[] = {IntraPolicy::kStatic, IntraPolicy::kCounter,
                                 IntraPolicy::kWorkStealing};
   const char* balancers[] = {"block", "cyclic", "lpt"};
+  // Fixed leading inputs: both fully dynamic combos at 2 ranks x 8
+  // threads, where cross-rank accumulate order is racy and only
+  // closeness is promised. They draw nothing from rng, so the seeded
+  // trials see the same inputs with or without them.
+  constexpr int kFixed = 2;
+  const ExecModel fixed_models[kFixed] = {ExecModel::kCounter,
+                                          ExecModel::kWorkStealing};
+  const IntraPolicy fixed_intras[kFixed] = {IntraPolicy::kCounter,
+                                            IntraPolicy::kWorkStealing};
   emc::Rng rng(20240917);
-  for (int trial = 0; trial < 27; ++trial) {
+  for (int trial = -kFixed; trial < 27; ++trial) {
     DistributedFockOptions options;
-    options.model = models[trial % 3];
-    options.intra_policy = intras[(trial / 3) % 3];
-    const int ranks = 1 + static_cast<int>(rng.below(3));
-    options.threads = 1 << rng.below(3);
-    options.counter_chunk = 1 + static_cast<std::int64_t>(rng.below(4));
-    options.intra_chunk = 1 + static_cast<std::int64_t>(rng.below(4));
-    options.static_balancer = balancers[rng.below(3)];
-    options.steal.seed = rng();
-    if (rng.below(2) == 1) {
-      options.task_faults.fail_prob = 0.25;
-      options.task_faults.seed = rng();
+    int ranks = 2;
+    if (trial < 0) {
+      options.model = fixed_models[trial + kFixed];
+      options.intra_policy = fixed_intras[trial + kFixed];
+      options.threads = 8;
+      options.intra_chunk = 2;
+    } else {
+      options.model = models[trial % 3];
+      options.intra_policy = intras[(trial / 3) % 3];
+      ranks = 1 + static_cast<int>(rng.below(3));
+      options.threads = 1 << rng.below(3);
+      options.counter_chunk = 1 + static_cast<std::int64_t>(rng.below(4));
+      options.intra_chunk = 1 + static_cast<std::int64_t>(rng.below(4));
+      options.static_balancer = balancers[rng.below(3)];
+      options.steal.seed = rng();
+      if (rng.below(2) == 1) {
+        options.task_faults.fail_prob = 0.25;
+        options.task_faults.seed = rng();
+      }
     }
     pgas::Runtime runtime(ranks);
     DistributedFockBuilder builder(basis, runtime, options);

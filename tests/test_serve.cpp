@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <future>
 #include <map>
@@ -144,24 +145,35 @@ TEST(FockCacheTest, ConstructionFailureIsNotCached) {
 
 TEST(FockCacheTest, SingleFlightMakesMissCountDistinctKeys) {
   // Many threads race the SAME cold key: single-flight must construct
-  // exactly once (1 miss) and share the entry with every waiter.
-  FockCache cache(4);
+  // exactly once (1 miss) and share the entry with every waiter. The
+  // threads spin on a start flag so they call get() together, while
+  // the first construction is still running. A single round can still
+  // miss that window when the scheduler runs the first caller alone,
+  // so the race is rerun on a fresh cold cache.
+  constexpr int kRounds = 20;
   constexpr int kThreads = 8;
-  std::vector<std::shared_ptr<const serve::FockCacheEntry>> entries(
-      kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back(
-        [&cache, &entries, t] { entries[static_cast<std::size_t>(t)] =
-                                    cache.get("water", "sto-3g"); });
+  for (int round = 0; round < kRounds; ++round) {
+    FockCache cache(4);
+    std::vector<std::shared_ptr<const serve::FockCacheEntry>> entries(
+        kThreads);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&cache, &entries, &go, t] {
+        while (!go.load()) std::this_thread::yield();
+        entries[static_cast<std::size_t>(t)] = cache.get("water4", "6-31g");
+      });
+    }
+    go.store(true);
+    for (auto& th : threads) th.join();
+    for (int t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(entries[0].get(), entries[static_cast<std::size_t>(t)].get())
+          << "round " << round;
+    }
+    const auto stats = cache.stats();
+    ASSERT_EQ(stats.misses, 1) << "round " << round;
+    ASSERT_EQ(stats.hits, kThreads - 1) << "round " << round;
   }
-  for (auto& th : threads) th.join();
-  for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(entries[0].get(), entries[static_cast<std::size_t>(t)].get());
-  }
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1);
-  EXPECT_EQ(stats.hits, kThreads - 1);
 }
 
 TEST(FockCacheTest, PublishesMetricsWhenRegistryGiven) {

@@ -14,12 +14,6 @@ namespace {
 
 using util::JsonValue;
 
-/// Subtrees owned by the host, not the workload: everything under them
-/// is advisory.
-bool is_metrics_key(const std::string& key) {
-  return key == "metrics" || key == "histograms";
-}
-
 /// "[3 items]"-style summary, built by appending: gcc 12 warns falsely
 /// (-Wrestrict) on a literal + std::string temporary at -O3.
 std::string count_of(char open, std::size_t n, const char* close) {
@@ -159,7 +153,7 @@ struct Walker {
         continue;
       }
       compare(child, bval, cand.object.at(key),
-              noisy || is_noisy_key(key) || is_metrics_key(key));
+              noisy || is_noisy_key(key));
     }
     for (const auto& [key, cval] : cand.object) {
       if (!base.object.count(key)) {
@@ -256,11 +250,9 @@ struct Walker {
 }  // namespace
 
 bool is_noisy_key(const std::string& key) {
-  // "path" covers output-location fields (chrome_trace.path): where an
-  // artifact landed is configuration, not payload.
   for (const char* marker :
        {"wall", "per_sec", "_ns", "_ms", "rss", "speedup", "seconds",
-        "timestamp", "path"}) {
+        "timestamp"}) {
     if (key.find(marker) != std::string::npos) return true;
   }
   return false;

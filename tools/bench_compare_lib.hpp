@@ -9,10 +9,10 @@
 //     floating-point quantities (makespans, wait times, utilizations) —
 //     gate EXACTLY (doubles get a tiny abs+rel tolerance so a libm or
 //     formatting ulp never pages anyone);
-//   - hostware — anything wall-clock, rate, RSS, or inside a metrics
-//     subtree — is compared within a configurable noise band and is
-//     ADVISORY by default (warns, does not fail), because wall time on
-//     shared CI runners is weather, not signal;
+//   - hostware — anything wall-clock, rate, or RSS — is compared
+//     within a configurable noise band and is ADVISORY by default
+//     (warns, does not fail), because wall time on shared CI runners
+//     is weather, not signal;
 //   - the manifest subtree is provenance, not payload: only
 //     schema_version is compared.
 //
