@@ -4,18 +4,22 @@
 // centers, extreme exponent ratios, deep contractions), the tabulated
 // Boys function must match the series reference, and the canonical-
 // quartet full_eri_tensor must be bitwise 8-fold symmetric while agreeing
-// with the legacy all-quartets fill.
+// with the legacy all-quartets fill. Pinned FNV-1a digests hold the
+// kernel's and HermiteR's output bits fixed across rewrites that must
+// not change any arithmetic.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "chem/basis.hpp"
 #include "chem/boys.hpp"
 #include "chem/eri.hpp"
+#include "chem/integrals.hpp"
 #include "chem/molecule.hpp"
 #include "chem/shell_pair.hpp"
 #include "util/rng.hpp"
@@ -238,6 +242,154 @@ TEST(ShellPairEriTest, DeepContractionWaterShells) {
           eri_shell_quartet(shells[i], shells[j], shells[i], shells[j]);
       EXPECT_LT(max_block_diff(direct, cached), 1e-12)
           << "pair " << i << "," << j;
+    }
+  }
+}
+
+/// FNV-1a 64 over the bytes of `n` doubles, continuing from `h` (the
+/// hash the distributed-Fock digests use).
+std::uint64_t fnv1a(const double* x, std::size_t n,
+                    std::uint64_t h = 0xcbf29ce484222325ULL) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(x);
+  for (std::size_t i = 0; i < n * sizeof(double); ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(ShellPairEriTest, PinnedDigestOfWater2CanonicalBlocks) {
+  // Every canonical quartet of water2/6-31G*, unscreened: every class up
+  // to (dd|dd). The digest holds the kernel's output bits, so a rewrite
+  // that reorders any floating-point sum fails here.
+  const BasisSet basis =
+      BasisSet::build(make_water_cluster(2), "6-31g*");
+  const ShellPairList pairs(basis);
+  const int n = static_cast<int>(basis.shell_count());
+  std::array<double, kMaxQuartetSize> block;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::size_t quartets = 0;
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j <= i; ++j) {
+      const ShellPairData& bra = pairs.pair(i, j);
+      for (int k = 0; k <= i; ++k) {
+        for (int l = 0; l <= (k == i ? j : k); ++l) {
+          const ShellPairData& ket = pairs.pair(k, l);
+          eri_shell_quartet(bra, ket, block.data());
+          h = fnv1a(block.data(),
+                    static_cast<std::size_t>(bra.na() * bra.nb() *
+                                             ket.na() * ket.nb()),
+                    h);
+          ++quartets;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(quartets, 22155u);
+  EXPECT_EQ(h, 0xdcbcbb2772a9eabaULL) << "digest=0x" << std::hex << h;
+}
+
+/// Seeded (p, PC) inputs for HermiteR: x = p |PC|^2 = 0, just below the
+/// Boys table's 35 cutoff, the asymptotic branch at and above it, then
+/// random draws.
+std::vector<std::pair<double, Vec3>> hermite_r_inputs() {
+  std::vector<std::pair<double, Vec3>> in{
+      {1.3, {0.0, 0.0, 0.0}},
+      {0.7, {0.0, -std::sqrt(34.99 / 0.7), 0.0}},
+      {2.0, {std::sqrt(35.0 / 2.0), 0.0, 0.0}},
+      {5.0, {-1.5, 2.5, 3.0}},
+      {40.0, {0.3, -2.0, 2.5}}};
+  emc::Rng rng(2026);
+  for (int i = 0; i < 40; ++i) {
+    in.push_back({std::exp(rng.uniform(std::log(0.05), std::log(200.0))),
+                  {rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0),
+                   rng.uniform(-3.0, 3.0)}});
+  }
+  return in;
+}
+
+/// The textbook McMurchie–Davidson recursion, one table per level n:
+/// R^n_{t+1,u,v} = t R^{n+1}_{t-1,u,v} + X_PC R^{n+1}_{t,u,v} (and in u,
+/// v), R^n_{000} = (-2p)^n F_n(p |PC|^2). Returns level 0 indexed by
+/// HermiteR::offset.
+std::vector<double> reference_r(int order, double p, const Vec3& pc,
+                                bool reference_boys) {
+  std::vector<double> f(static_cast<std::size_t>(order) + 1);
+  const double x = p * (pc[0] * pc[0] + pc[1] * pc[1] + pc[2] * pc[2]);
+  reference_boys ? boys_reference(x, f) : boys(x, f);
+  const std::size_t cube = HermiteR::offset(HermiteR::kStride, 0, 0);
+  std::vector<std::vector<double>> lvl(f.size() + 1,
+                                       std::vector<double>(cube, 0.0));
+  double scale = 1.0;
+  for (std::size_t n = 0; n < f.size(); ++n, scale *= -2.0 * p) {
+    lvl[n][0] = f[n] * scale;
+  }
+  for (int n = order; n >= 0; --n) {
+    const std::vector<double>& up = lvl[static_cast<std::size_t>(n) + 1];
+    for (int total = 1; total <= order - n; ++total) {
+      for (int t = 0; t <= total; ++t) {
+        for (int u = 0; t + u <= total; ++u) {
+          const int v = total - t - u;
+          const int axis = t > 0 ? 0 : (u > 0 ? 1 : 2);
+          const int k = axis == 0 ? t : (axis == 1 ? u : v);
+          const int dt = axis == 0, du = axis == 1, dv = axis == 2;
+          lvl[static_cast<std::size_t>(n)][HermiteR::offset(t, u, v)] =
+              (k > 1 ? static_cast<double>(k - 1) *
+                           up[HermiteR::offset(t - 2 * dt, u - 2 * du,
+                                               v - 2 * dv)]
+                     : 0.0) +
+              pc[static_cast<std::size_t>(axis)] *
+                  up[HermiteR::offset(t - dt, u - du, v - dv)];
+        }
+      }
+    }
+  }
+  return lvl[0];
+}
+
+/// Calls fn(t, u, v) for every defined entry t+u+v <= order, t-major.
+template <typename Fn>
+void for_each_r_entry(int order, Fn&& fn) {
+  for (int t = 0; t <= order; ++t) {
+    for (int u = 0; t + u <= order; ++u) {
+      for (int v = 0; t + u + v <= order; ++v) fn(t, u, v);
+    }
+  }
+}
+
+TEST(HermiteRTest, PinnedDigestOfOrdersZeroToEight) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (int order = 0; order <= HermiteR::kMaxOrder; ++order) {
+    HermiteR r(order);
+    for (const bool reference_boys : {false, true}) {
+      for (const auto& [p, pc] : hermite_r_inputs()) {
+        r.recompute(p, pc, reference_boys);
+        for_each_r_entry(order, [&](int t, int u, int v) {
+          const double x = r(t, u, v);
+          h = fnv1a(&x, 1, h);
+        });
+      }
+    }
+  }
+  EXPECT_EQ(h, 0x89f0b34e0766f897ULL) << "digest=0x" << std::hex << h;
+}
+
+TEST(HermiteRTest, BitwiseMatchesGenericReferenceRecursion) {
+  for (int order = 0; order <= HermiteR::kMaxOrder; ++order) {
+    HermiteR r(order);
+    for (const bool reference_boys : {false, true}) {
+      for (const auto& [p, pc] : hermite_r_inputs()) {
+        r.recompute(p, pc, reference_boys);
+        const std::vector<double> ref =
+            reference_r(order, p, pc, reference_boys);
+        for_each_r_entry(order, [&](int t, int u, int v) {
+          const double x = r(t, u, v);
+          const double y = ref[HermiteR::offset(t, u, v)];
+          // Bytes, not values: a flipped signed zero is a difference.
+          EXPECT_EQ(fnv1a(&x, 1), fnv1a(&y, 1))
+              << "order " << order << " R(" << t << u << v << ") " << x
+              << " vs " << y << " p=" << p;
+        });
+      }
     }
   }
 }
