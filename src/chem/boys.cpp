@@ -31,6 +31,7 @@ double boys_series(int m, double x) {
 /// Dropping the e^{-x} term costs 3e-3 relative at x = 35, m = 20.
 void boys_asymptotic(double x, std::span<double> out) {
   out[0] = 0.5 * std::sqrt(kPi / x);
+  if (out.size() == 1) return;
   const double inv2x = 1.0 / (2.0 * x);
   const double expmx = std::exp(-x);
   for (std::size_t m = 1; m < out.size(); ++m) {
@@ -115,6 +116,8 @@ void boys(double x, std::span<double> out) {
     acc = acc * s / static_cast<double>(j) + row[m_max + j - 1];
   }
   out[static_cast<std::size_t>(m_max)] = acc;
+  // The downward recursion below is the only reader of e^{-x}.
+  if (m_max == 0) return;
 
   const double expmx = std::exp(-x);
   for (int m = m_max - 1; m >= 0; --m) {
