@@ -81,8 +81,8 @@ std::string json_quote(const std::string& s);
 std::string format_double(double v);
 
 /// Streaming JSON emitter with automatic comma/indent management,
-/// shared by every artifact writer (BENCH_*.json reports, metrics and
-/// trace exports). Usage mirrors the document structure:
+/// shared by every BENCH_*.json report writer. Usage mirrors the
+/// document structure:
 ///
 ///   JsonWriter w(out);
 ///   w.begin_object();
@@ -92,10 +92,9 @@ std::string format_double(double v);
 ///   w.end_array();
 ///   w.end_object();
 ///
-/// raw() splices pre-rendered JSON (e.g. MetricsRegistry::write_json
-/// output) as a value without re-parsing it. Keys and string values are
-/// escaped through json_escape(); doubles are written round-trip exact
-/// (NaN/Inf become null — they have no JSON representation).
+/// Keys and string values are escaped through json_escape(); doubles are
+/// written round-trip exact (NaN/Inf become null — they have no JSON
+/// representation).
 class JsonWriter {
  public:
   explicit JsonWriter(std::ostream& out) : out_(out) {}
@@ -131,11 +130,6 @@ class JsonWriter {
   void field(const std::string& key, bool value) {
     key_prefix(key);
     out_ << (value ? "true" : "false");
-  }
-  /// Splices `json` verbatim as the value of `key`.
-  void raw(const std::string& key, const std::string& json) {
-    key_prefix(key);
-    out_ << json;
   }
   /// Scalar array element (null for NaN/Inf, as with field()).
   void value(double v) {

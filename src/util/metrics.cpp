@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
-#include <ostream>
 #include <stdexcept>
-
-#include "util/json.hpp"
 
 namespace emc::util {
 
@@ -266,60 +263,6 @@ void MetricsRegistry::clear() {
 std::size_t MetricsRegistry::size() const {
   std::shared_lock lock(mutex_);
   return counters_.size() + gauges_.size() + histograms_.size();
-}
-
-void MetricsRegistry::write_text(std::ostream& out) const {
-  const MetricsSnapshot snap = snapshot();
-  for (const auto& [name, value] : snap.counters) {
-    out << name << " counter " << value << "\n";
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    out << name << " gauge " << value << "\n";
-  }
-  for (const auto& [name, h] : snap.histograms) {
-    out << name << " histogram count=" << h.count << " sum=" << h.sum
-        << " min=" << h.min << " max=" << h.max << " mean=" << h.mean
-        << " p50=" << h.p50 << " p90=" << h.p90 << " p99=" << h.p99
-        << "\n";
-  }
-}
-
-void MetricsRegistry::write_json(std::ostream& out) const {
-  // Names go through json_quote (shared escaping path) and doubles
-  // through format_double, so the artifact re-parses to identical bits.
-  const MetricsSnapshot snap = snapshot();
-  const auto num = [](double v) { return format_double(v); };
-  out << "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : snap.counters) {
-    out << (first ? "" : ",") << "\n    " << json_quote(name) << ": "
-        << value;
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : snap.gauges) {
-    out << (first ? "" : ",") << "\n    " << json_quote(name) << ": "
-        << num(value);
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : snap.histograms) {
-    out << (first ? "" : ",") << "\n    " << json_quote(name)
-        << ": {\"count\": " << h.count << ", \"sum\": " << num(h.sum)
-        << ", \"min\": " << num(h.min) << ", \"max\": " << num(h.max)
-        << ", \"mean\": " << num(h.mean) << ", \"p50\": " << num(h.p50)
-        << ", \"p90\": " << num(h.p90) << ", \"p99\": " << num(h.p99)
-        << ", \"bins\": [";
-    for (std::size_t b = 0; b < h.bins.size(); ++b) {
-      out << (b == 0 ? "" : ", ") << "[" << num(h.bins[b].first) << ", "
-          << h.bins[b].second << "]";
-    }
-    out << "]}";
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "}\n}\n";
 }
 
 MetricsRegistry& MetricsRegistry::global() {

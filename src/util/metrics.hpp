@@ -13,7 +13,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <shared_mutex>
@@ -63,8 +62,8 @@ class Gauge {
 /// percentile estimates resolve to 1/kSubBins of the value's
 /// power-of-two bracket instead of the full factor of 2. The exported
 /// log2 bins() aggregate the sub-bins and are bitwise identical to the
-/// pre-sub-bin layout — snapshots, text, and JSON reports are unchanged
-/// except for the sharper p50/p90/p99 values themselves.
+/// pre-sub-bin layout — snapshots are unchanged except for the sharper
+/// p50/p90/p99 values themselves.
 class Histogram {
  public:
   static constexpr int kBins = 64;
@@ -110,14 +109,14 @@ struct MetricsSnapshot {
     /// divide by zero themselves.
     double mean = 0.0;
     /// Percentile estimates from the binned counts (see percentile());
-    /// filled by MetricsRegistry::snapshot and emitted in text/JSON.
+    /// filled by MetricsRegistry::snapshot.
     double p50 = 0.0, p90 = 0.0, p99 = 0.0;
     /// (log2-bin lower edge, count) for non-empty bins only — the
     /// exported granularity, bitwise identical to the pre-sub-bin
     /// snapshots.
     std::vector<std::pair<double, std::int64_t>> bins;
     /// (sub-bin lower edge, count) for non-empty linear sub-bins —
-    /// internal percentile resolution, NOT serialized to text/JSON.
+    /// internal percentile resolution.
     std::vector<std::pair<double, std::int64_t>> fine;
 
     /// Percentile estimate for q in [0, 1]: cumulative walk over the
@@ -176,11 +175,6 @@ class MetricsRegistry {
   /// only for teardown between independent runs.
   void clear();
   std::size_t size() const;
-
-  /// One `name kind value` line per metric, sorted by name.
-  void write_text(std::ostream& out) const;
-  /// {"counters": {...}, "gauges": {...}, "histograms": {...}}.
-  void write_json(std::ostream& out) const;
 
   /// Process-wide default registry.
   static MetricsRegistry& global();

@@ -388,19 +388,16 @@ TEST(MetricsTest, NameCannotChangeKind) {
   EXPECT_THROW(reg.histogram("x"), std::invalid_argument);
 }
 
-TEST(MetricsTest, JsonExportIsWellFormed) {
+TEST(MetricsTest, SnapshotListsEveryCounterAndGauge) {
   emc::util::MetricsRegistry reg;
   reg.counter("a/ops").add(1);
   reg.gauge("b").set(0.5);
-  std::ostringstream out;
-  reg.write_json(out);
-  const std::string json = out.str();
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"a/ops\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  // Balanced braces (no nesting beyond the fixed structure).
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters.at("a/ops"), 1);
+  ASSERT_EQ(snap.gauges.size(), 1u);
+  EXPECT_DOUBLE_EQ(snap.gauges.at("b"), 0.5);
+  EXPECT_TRUE(snap.histograms.empty());
 }
 
 TEST(MetricsTest, HistogramBinsCoverWideRange) {
@@ -450,11 +447,9 @@ TEST(MetricsTest, HistogramPercentilesTrackExactPercentiles) {
   EXPECT_DOUBLE_EQ(snap2.histograms.at("point").p50, 0.25);
   EXPECT_DOUBLE_EQ(snap2.histograms.at("point").p99, 0.25);
 
-  // Text export carries the estimates.
-  std::ostringstream out;
-  reg.write_text(out);
-  EXPECT_NE(out.str().find("p50="), std::string::npos);
-  EXPECT_NE(out.str().find("p99="), std::string::npos);
+  // The snapshot carries the estimates percentile() makes from its bins.
+  EXPECT_EQ(hv.p50, hv.percentile(0.50));
+  EXPECT_EQ(hv.p99, hv.percentile(0.99));
 }
 
 TEST(MetricsTest, HistogramSubBinsSharpenPercentiles) {
@@ -535,12 +530,16 @@ TEST(MetricsTest, HistogramFineBinsAggregateToLog2BinsExactly) {
     EXPECT_DOUBLE_EQ(Histogram::fine_upper_bound(f0 + Histogram::kSubBins - 1),
                      Histogram::bin_lower_bound(b + 1));
   }
-  // The JSON export has no sub-bin field: layout is unchanged.
+  // The snapshot's exported bins keep log2 granularity; only `fine`
+  // resolves the sub-bin.
   emc::util::MetricsRegistry reg;
   reg.histogram("x").record(1.5);
-  std::ostringstream out;
-  reg.write_json(out);
-  EXPECT_EQ(out.str().find("fine"), std::string::npos);
+  const auto hv = reg.snapshot().histograms.at("x");
+  ASSERT_EQ(hv.bins.size(), 1u);
+  EXPECT_EQ(hv.bins[0].first, 1.0);
+  EXPECT_EQ(hv.bins[0].second, 1);
+  ASSERT_EQ(hv.fine.size(), 1u);
+  EXPECT_EQ(hv.fine[0].first, 1.5);
 }
 
 TEST(MetricsTest, HistogramPercentileFallsBackToCoarseBins) {
@@ -678,17 +677,7 @@ TEST(MetricsTest, HistogramSnapshotCarriesMean) {
   EXPECT_DOUBLE_EQ(hv.min, 1.0);
   EXPECT_DOUBLE_EQ(hv.max, 3.0);
   EXPECT_DOUBLE_EQ(hv.sum, 4.0);
-
-  std::ostringstream text, json;
-  reg.write_text(text);
-  EXPECT_NE(text.str().find("mean=2"), std::string::npos);
-  reg.write_json(json);
-  const emc::util::JsonValue doc = emc::util::parse_json(json.str());
-  EXPECT_DOUBLE_EQ(doc.object.at("histograms")
-                       .object.at("lat")
-                       .object.at("mean")
-                       .number,
-                   2.0);
+  EXPECT_EQ(hv.count, 2);
 }
 
 TEST(MetricsTest, SnapshotAfterJoinIsExact) {
