@@ -90,8 +90,12 @@ double FockBuilder::estimate_task_cost(const ShellPairTask& task) const {
   // relative error against wall-time measurements of the factorized
   // kernel (bench_kernel --calibrate; water/water2 in STO-3G, 6-31G,
   // 6-31G* and alkane4/STO-3G, 534 tasks; Pearson 0.98 / Spearman 0.98
-  // on a 4-core x86 host, where one unit measured ~9.7 ns). The
-  // factorization cut the per-function work, so the fixed and
+  // on a 4-core x86 host, where one unit measured ~9.7 ns). They were
+  // fitted on the order-generic factorized kernel and kept for the
+  // order-specialized one, which measures ~4 ns per unit and fits the
+  // fixed and per-primitive terms somewhat higher (EXPERIMENTS.md EXP-0):
+  // re-fitting would move every simulated workload built from this
+  // model. The factorization cut the per-function work, so the fixed and
   // per-primitive terms weigh more than for the seed-era kernel (per
   // quartet 5 -> 30, per primitive quartet 0.43 -> 4.5). All four terms
   // are resolved by the relative fit; the ~70 ns dispatch plus ~3.7 ns
