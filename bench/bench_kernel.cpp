@@ -8,9 +8,11 @@
 //   --smoke          fast seed-vs-cached kernel comparison per shell
 //                    class + a Fock-build sweep + the measured ERI/digest
 //                    split of a build + the per-class profile of the
-//                    water4/6-31G* build (perfbench scf-seq's) + accuracy
-//                    cross-checks; writes BENCH_kernel.json and exits
-//                    nonzero on an accuracy failure or a speedup below
+//                    water4/6-31G* build (perfbench scf-seq's) + the
+//                    quartets each iteration of its incremental SCF
+//                    evaluates + accuracy cross-checks; writes
+//                    BENCH_kernel.json and exits nonzero on an accuracy
+//                    failure, an unconverged SCF or a speedup below
 //                    --min-speedup
 //   --calibrate      re-fit the analytic task-cost model constants
 //                    (FockBuilder::estimate_task_cost) by least squares
@@ -36,6 +38,7 @@
 #include "chem/eri.hpp"
 #include "chem/fock.hpp"
 #include "chem/molecule.hpp"
+#include "chem/scf.hpp"
 #include "core/calibration.hpp"
 #include "core/task_model.hpp"
 #include "linalg/lstsq.hpp"
@@ -395,7 +398,8 @@ int run_smoke(const std::string& json_path, double min_speedup,
               split.digest_ms.q3);
 
   // perfbench scf-seq's build: which classes own the ERI time.
-  const BasisSet water4 = BasisSet::build(make_water_cluster(4), "6-31g*");
+  const Molecule water4_molecule = make_water_cluster(4);
+  const BasisSet water4 = BasisSet::build(water4_molecule, "6-31g*");
   const FockBuilder water4_builder(water4);
   constexpr int kMixReps = 5;
   const std::vector<MixClass> mix = class_mix(water4_builder, kMixReps);
@@ -418,6 +422,20 @@ int run_smoke(const std::string& json_path, double min_speedup,
                 c.prim_quartet_ns(), 100.0 * c.cpu_ms / mix_ms);
   }
 
+  // The same system's SCF: how many quartets each incremental G build
+  // evaluates as the density change shrinks (exact counts).
+  const ScfResult scf = run_rhf(water4_molecule, water4);
+  std::uint64_t scf_quartets = 0;
+  std::printf("\nSCF of water4/6-31G* (incremental G builds): %d "
+              "iterations, %s; quartets per iteration:\n ",
+              scf.iterations, scf.converged ? "converged" : "NOT converged");
+  for (const std::uint64_t q : scf.quartets_per_iteration) {
+    std::printf(" %llu", static_cast<unsigned long long>(q));
+    scf_quartets += q;
+  }
+  std::printf("\n  total %llu, against %zu per full build\n",
+              static_cast<unsigned long long>(scf_quartets), mix_quartets);
+
   const double rand_diff = random_quartet_max_diff(seed, 24);
   max_diff = std::max(max_diff, rand_diff);
   std::printf("randomized s/p/d quartet agreement: max |diff| = %.2e\n",
@@ -425,7 +443,7 @@ int run_smoke(const std::string& json_path, double min_speedup,
 
   const bool accuracy_ok = max_diff < 1e-10;
   const bool speed_ok = sweep.speedup() >= min_speedup;
-  const bool passed = accuracy_ok && speed_ok;
+  const bool passed = accuracy_ok && speed_ok && scf.converged;
 
   std::ofstream out(json_path);
   if (!out) {
@@ -490,6 +508,17 @@ int run_smoke(const std::string& json_path, double min_speedup,
     }
     json.end_array();
     json.end_object();
+    json.begin_object("scf_quartets");
+    json.field("workload", "water4/6-31g*");
+    json.field("converged", scf.converged);
+    json.field("iterations", scf.iterations);
+    json.field("total", scf_quartets);
+    json.begin_array("per_iteration");
+    for (const std::uint64_t q : scf.quartets_per_iteration) {
+      json.value(static_cast<double>(q));
+    }
+    json.end_array();
+    json.end_object();
     json.begin_object("checks");
     json.field("max_abs_diff", max_diff);
     json.field("min_speedup_gate", min_speedup);
@@ -516,6 +545,10 @@ int run_smoke(const std::string& json_path, double min_speedup,
   if (!speed_ok) {
     std::cerr << "FAIL: Fock-sweep speedup " << sweep.speedup()
               << "x below the regression gate " << min_speedup << "x\n";
+    return 1;
+  }
+  if (!scf.converged) {
+    std::cerr << "FAIL: the water4/6-31G* SCF did not converge\n";
     return 1;
   }
   std::cout << "smoke PASSED\n";

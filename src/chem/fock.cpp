@@ -1,5 +1,6 @@
 #include "chem/fock.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <stdexcept>
@@ -8,9 +9,21 @@
 
 namespace emc::chem {
 
+namespace {
+
+double checked_threshold(double screen_threshold) {
+  if (!std::isfinite(screen_threshold) || screen_threshold < 0.0) {
+    throw std::invalid_argument(
+        "FockBuilder: screen_threshold must be finite and >= 0");
+  }
+  return screen_threshold;
+}
+
+}  // namespace
+
 FockBuilder::FockBuilder(const BasisSet& basis, double screen_threshold)
-    : basis_(&basis), screen_threshold_(screen_threshold), pairs_(basis),
-      schwarz_(schwarz_matrix(pairs_)) {}
+    : basis_(&basis), screen_threshold_(checked_threshold(screen_threshold)),
+      pairs_(basis), schwarz_(schwarz_matrix(pairs_)) {}
 
 std::vector<ShellPairTask> FockBuilder::make_tasks() const {
   std::vector<ShellPairTask> tasks;
@@ -26,18 +39,27 @@ std::vector<ShellPairTask> FockBuilder::make_tasks() const {
 
 template <typename QuartetFn>
 void FockBuilder::for_each_ket_pair(const ShellPairTask& task,
+                                    const linalg::Matrix* block_max,
                                     QuartetFn&& fn) const {
-  const double q_bra =
-      schwarz_(static_cast<std::size_t>(task.si),
-               static_cast<std::size_t>(task.sj));
+  const auto i = static_cast<std::size_t>(task.si);
+  const auto j = static_cast<std::size_t>(task.sj);
+  const double q_bra = schwarz_(i, j);
+  const double d_bra = block_max != nullptr ? (*block_max)(i, j) : 0.0;
   const int n = static_cast<int>(basis_->shell_count());
   for (int k = 0; k < n; ++k) {
     for (int l = 0; l <= k; ++l) {
       if (pair_rank(k, l) > task.rank) return;
-      const double q_ket = schwarz_(static_cast<std::size_t>(k),
-                                    static_cast<std::size_t>(l));
-      if (screen_threshold_ > 0.0 && q_bra * q_ket < screen_threshold_) {
-        continue;
+      const auto uk = static_cast<std::size_t>(k);
+      const auto ul = static_cast<std::size_t>(l);
+      const double q = q_bra * schwarz_(uk, ul);
+      if (screen_threshold_ > 0.0 && q < screen_threshold_) continue;
+      if (block_max != nullptr) {
+        // J reads D_ij and D_kl, K reads the four cross blocks.
+        const linalg::Matrix& d = *block_max;
+        const double weight =
+            std::max({4.0 * std::max(d_bra, d(uk, ul)), d(i, uk), d(i, ul),
+                      d(j, uk), d(j, ul)});
+        if (q * weight < screen_threshold_) continue;
       }
       fn(k, l);
     }
@@ -47,7 +69,7 @@ void FockBuilder::for_each_ket_pair(const ShellPairTask& task,
 std::uint64_t FockBuilder::count_task_quartets(
     const ShellPairTask& task) const {
   std::uint64_t count = 0;
-  for_each_ket_pair(task, [&](int, int) { ++count; });
+  for_each_ket_pair(task, nullptr, [&](int, int) { ++count; });
   return count;
 }
 
@@ -64,7 +86,7 @@ TaskCostFeatures FockBuilder::task_cost_features(
   TaskCostFeatures f;
   // Even a fully-screened task pays its ket screening scan.
   f.scan = static_cast<double>(task.rank + 1);
-  for_each_ket_pair(task, [&](int k, int l) {
+  for_each_ket_pair(task, nullptr, [&](int k, int l) {
     const Shell& sk = shells[static_cast<std::size_t>(k)];
     const Shell& sl = shells[static_cast<std::size_t>(l)];
     const double prim =
@@ -165,6 +187,30 @@ void digest_quartet(const ShellPairData& bra, const ShellPairData& ket,
   }
 }
 
+/// Max |D| over each shell block (a, b): the ns x ns table the density
+/// screen reads.
+linalg::Matrix shell_block_max(const BasisSet& basis,
+                               const linalg::Matrix& density) {
+  const auto& shells = basis.shells();
+  linalg::Matrix m(shells.size(), shells.size());
+  for (std::size_t a = 0; a < shells.size(); ++a) {
+    const auto ra = static_cast<std::size_t>(shells[a].first_function);
+    const auto na = static_cast<std::size_t>(shells[a].function_count());
+    for (std::size_t b = 0; b < shells.size(); ++b) {
+      const auto rb = static_cast<std::size_t>(shells[b].first_function);
+      const auto nb = static_cast<std::size_t>(shells[b].function_count());
+      double v = 0.0;
+      for (std::size_t r = ra; r < ra + na; ++r) {
+        for (std::size_t c = rb; c < rb + nb; ++c) {
+          v = std::max(v, std::abs(density(r, c)));
+        }
+      }
+      m(a, b) = v;
+    }
+  }
+  return m;
+}
+
 }  // namespace
 
 void require_symmetric_density(const linalg::Matrix& density) {
@@ -179,14 +225,25 @@ void FockBuilder::execute_task(const ShellPairTask& task,
                                const linalg::Matrix& density,
                                linalg::Matrix& j_accum,
                                linalg::Matrix& k_accum) const {
+  digest_task(task, density, nullptr, j_accum, k_accum);
+}
+
+std::uint64_t FockBuilder::digest_task(const ShellPairTask& task,
+                                       const linalg::Matrix& density,
+                                       const linalg::Matrix* block_max,
+                                       linalg::Matrix& j_accum,
+                                       linalg::Matrix& k_accum) const {
   const ShellPairData& bra = pairs_.pair(task.si, task.sj);
   std::array<double, kMaxQuartetSize> block;
-  for_each_ket_pair(task, [&](int k, int l) {
+  std::uint64_t quartets = 0;
+  for_each_ket_pair(task, block_max, [&](int k, int l) {
     const ShellPairData& ket = pairs_.pair(k, l);
     eri_shell_quartet(bra, ket, block.data());
     digest_quartet(bra, ket, pair_rank(k, l) == task.rank, block.data(),
                    density, j_accum, k_accum);
+    ++quartets;
   });
+  return quartets;
 }
 
 linalg::Matrix FockBuilder::combine_jk(const linalg::Matrix& j_accum,
@@ -204,15 +261,32 @@ linalg::Matrix FockBuilder::combine_jk(const linalg::Matrix& j_accum,
 }
 
 linalg::Matrix FockBuilder::build_g(const linalg::Matrix& density) const {
+  return build(density, /*density_screen=*/false, nullptr);
+}
+
+linalg::Matrix FockBuilder::build_g_density_screened(
+    const linalg::Matrix& density, std::uint64_t* quartets) const {
+  return build(density, /*density_screen=*/true, quartets);
+}
+
+linalg::Matrix FockBuilder::build(const linalg::Matrix& density,
+                                  bool density_screen,
+                                  std::uint64_t* quartets) const {
   const auto n = static_cast<std::size_t>(basis_->function_count());
   if (density.rows() != n || density.cols() != n) {
     throw std::invalid_argument("build_g: density shape mismatch");
   }
   require_symmetric_density(density);
+  const linalg::Matrix block_max =
+      density_screen ? shell_block_max(*basis_, density) : linalg::Matrix();
   linalg::Matrix j_accum(n, n), k_accum(n, n);
+  std::uint64_t evaluated = 0;
   for (const ShellPairTask& task : make_tasks()) {
-    execute_task(task, density, j_accum, k_accum);
+    evaluated += digest_task(task, density,
+                             density_screen ? &block_max : nullptr, j_accum,
+                             k_accum);
   }
+  if (quartets != nullptr) *quartets = evaluated;
   return combine_jk(j_accum, k_accum);
 }
 

@@ -4,7 +4,8 @@
 //
 // The two-electron part of the Fock matrix, G(P), is assembled from shell
 // quartets (ij|kl) exploiting 8-fold permutational symmetry and Schwarz
-// screening. Work is decomposed the way the paper's SCF study does: one
+// screening (plus, for density differences, a density-weighted screen).
+// Work is decomposed the way the paper's SCF study does: one
 // *task* per canonical bra shell pair (i >= j); the task owns the loop
 // over all canonical ket pairs with pair rank <= its own. Task costs
 // therefore vary by orders of magnitude — the heterogeneity that drives
@@ -58,7 +59,8 @@ void require_symmetric_density(const linalg::Matrix& density);
 class FockBuilder {
  public:
   /// Precomputes Schwarz bounds for screening. `screen_threshold` is the
-  /// bound product below which a quartet is skipped (0 disables).
+  /// bound product below which a quartet is skipped (0 disables). Throws
+  /// std::invalid_argument unless it is finite and >= 0.
   FockBuilder(const BasisSet& basis, double screen_threshold = 1e-10);
 
   const BasisSet& basis() const { return *basis_; }
@@ -99,13 +101,44 @@ class FockBuilder {
   /// symmetric (see execute_task).
   linalg::Matrix build_g(const linalg::Matrix& density) const;
 
+  /// build_g with a density-weighted screen on top of Schwarz's: quartet
+  /// (ij|kl) is also skipped when
+  ///   Q_ij Q_kl max(4|D_ij|, 4|D_kl|, |D_ik|, |D_il|, |D_jk|, |D_jl|)
+  /// is below screen_threshold, |D_ab| being the largest |element| of
+  /// the density's shell block (a, b). The weights follow the digest
+  /// (J scaled by deg/2, K by deg/4, G = J - K/2): a skipped integral's
+  /// J update would have moved an element of G by at most
+  /// deg/2 |D_J| Q_ij Q_kl and a K update by deg/8 |D_K| Q_ij Q_kl, so
+  /// with the orbit size deg <= 8 every dropped update is below the
+  /// threshold. Meant for density differences, whose blocks shrink as an
+  /// SCF converges (IncrementalGBuilder in chem/scf.hpp). Stores the
+  /// number of quartets evaluated in `*quartets` when it is non-null.
+  linalg::Matrix build_g_density_screened(
+      const linalg::Matrix& density, std::uint64_t* quartets = nullptr) const;
+
   /// Combines J/K accumulators into G = J - K/2 and symmetrizes.
   static linalg::Matrix combine_jk(const linalg::Matrix& j_accum,
                                    const linalg::Matrix& k_accum);
 
  private:
+  /// Calls fn(k, l) for every ket pair of `task` that survives the
+  /// Schwarz screen and, when `block_max` (max |D| per shell block,
+  /// ns x ns) is non-null, the density screen.
   template <typename QuartetFn>
-  void for_each_ket_pair(const ShellPairTask& task, QuartetFn&& fn) const;
+  void for_each_ket_pair(const ShellPairTask& task,
+                         const linalg::Matrix* block_max,
+                         QuartetFn&& fn) const;
+
+  /// execute_task behind an optional density screen; returns the number
+  /// of quartets digested.
+  std::uint64_t digest_task(const ShellPairTask& task,
+                            const linalg::Matrix& density,
+                            const linalg::Matrix* block_max,
+                            linalg::Matrix& j_accum,
+                            linalg::Matrix& k_accum) const;
+
+  linalg::Matrix build(const linalg::Matrix& density, bool density_screen,
+                       std::uint64_t* quartets) const;
 
   const BasisSet* basis_;
   double screen_threshold_;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <deque>
+#include <functional>
 #include <stdexcept>
 
 #include "chem/integrals.hpp"
@@ -105,11 +106,41 @@ double trace_product(const linalg::Matrix& a, const linalg::Matrix& b) {
   return t;
 }
 
+void check_options(const ScfOptions& options) {
+  auto bad_tolerance = [](double t) { return !std::isfinite(t) || t < 0.0; };
+  if (options.max_iterations < 1) {
+    throw std::invalid_argument("run_rhf: max_iterations must be >= 1");
+  }
+  if (options.diis_size < 0) {
+    throw std::invalid_argument("run_rhf: diis_size must be >= 0");
+  }
+  if (bad_tolerance(options.energy_tolerance) ||
+      bad_tolerance(options.error_tolerance)) {
+    throw std::invalid_argument(
+        "run_rhf: tolerances must be finite and >= 0");
+  }
+}
+
 }  // namespace
+
+linalg::Matrix IncrementalGBuilder::operator()(const linalg::Matrix& density) {
+  std::uint64_t quartets = 0;
+  if (density_.rows() == 0) {
+    g_ = builder_->build_g_density_screened(density, &quartets);
+  } else {
+    linalg::Matrix delta = density;
+    delta -= density_;
+    g_ += builder_->build_g_density_screened(delta, &quartets);
+  }
+  density_ = density;
+  quartets_.push_back(quartets);
+  return g_;
+}
 
 ScfResult run_rhf_with_builder(const Molecule& molecule,
                                const BasisSet& basis, const GBuilder& g,
                                const ScfOptions& options) {
+  check_options(options);
   const int n_electrons = molecule.electron_count(options.net_charge);
   if (n_electrons % 2 != 0) {
     throw std::invalid_argument(
@@ -194,10 +225,11 @@ ScfResult run_rhf_with_builder(const Molecule& molecule,
 ScfResult run_rhf(const Molecule& molecule, const BasisSet& basis,
                   const ScfOptions& options) {
   const FockBuilder builder(basis, options.screen_threshold);
-  return run_rhf_with_builder(
-      molecule, basis,
-      [&builder](const linalg::Matrix& p) { return builder.build_g(p); },
-      options);
+  IncrementalGBuilder g(builder);
+  ScfResult result =
+      run_rhf_with_builder(molecule, basis, std::ref(g), options);
+  result.quartets_per_iteration = g.quartets();
+  return result;
 }
 
 }  // namespace emc::chem

@@ -4,9 +4,11 @@
 //
 // This is the reference (sequential) implementation of the kernel whose
 // parallel execution the rest of the library studies; the parallel
-// executors must reproduce its Fock matrices bit-for-bit up to summation
-// order.
+// executors must reproduce FockBuilder::build_g's G bit-for-bit up to
+// summation order. run_rhf itself builds G incrementally
+// (IncrementalGBuilder).
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -18,12 +20,17 @@
 
 namespace emc::chem {
 
+/// The drivers throw std::invalid_argument for max_iterations < 1,
+/// diis_size < 0, or a negative or non-finite tolerance.
 struct ScfOptions {
   int max_iterations = 100;
   double energy_tolerance = 1e-9;     ///< |dE| convergence threshold
   double error_tolerance = 1e-6;      ///< DIIS error norm threshold
   int diis_size = 8;                  ///< history length (0 disables DIIS)
-  double screen_threshold = 1e-10;    ///< Schwarz screening
+  /// Quartet screen of the FockBuilder that run_rhf constructs. Read by
+  /// run_rhf only: with run_rhf_with_builder the G builder owns its
+  /// threshold and this field is ignored.
+  double screen_threshold = 1e-10;
   int net_charge = 0;
 };
 
@@ -37,6 +44,9 @@ struct ScfResult {
   std::vector<double> orbital_energies;
   linalg::Matrix density;           ///< converged total density P
   linalg::Matrix fock;              ///< converged Fock matrix
+  /// Quartets each iteration's G build evaluated (run_rhf only; empty
+  /// when the caller supplies the G builder).
+  std::vector<std::uint64_t> quartets_per_iteration;
 };
 
 /// Pluggable G(P) builder so parallel executors can be swapped in for
@@ -44,7 +54,35 @@ struct ScfResult {
 using GBuilder =
     std::function<linalg::Matrix(const linalg::Matrix& density)>;
 
-/// Runs RHF using the default sequential Fock builder.
+/// The stock sequential G(P) builder. G is linear in P, so each call
+/// builds only the change, G(P_i) = G(P_{i-1}) + G(P_i - P_{i-1}), the
+/// increment through FockBuilder::build_g_density_screened: as the SCF
+/// converges the density change shrinks and its screen drops a growing
+/// share of quartets. The first call starts from P_0 = 0. Skipped
+/// quartets' contributions stay out of every later G, so G drifts from
+/// build_g(P) by a few screen thresholds' worth (~1e-9 Eh on the
+/// water4/6-31G* energy; DESIGN.md). Stateful: use one per SCF run and
+/// hand it to run_rhf_with_builder through std::ref. The FockBuilder
+/// must outlive it; any number of them may share one concurrently.
+class IncrementalGBuilder {
+ public:
+  explicit IncrementalGBuilder(const FockBuilder& builder)
+      : builder_(&builder) {}
+
+  linalg::Matrix operator()(const linalg::Matrix& density);
+
+  /// Quartets evaluated by each call so far, in call order.
+  const std::vector<std::uint64_t>& quartets() const { return quartets_; }
+
+ private:
+  const FockBuilder* builder_;
+  linalg::Matrix density_;  ///< P of the previous call
+  linalg::Matrix g_;        ///< G(P) returned by the previous call
+  std::vector<std::uint64_t> quartets_;
+};
+
+/// Runs RHF through an IncrementalGBuilder over a FockBuilder with
+/// options.screen_threshold.
 ScfResult run_rhf(const Molecule& molecule, const BasisSet& basis,
                   const ScfOptions& options = {});
 

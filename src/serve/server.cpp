@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 #include <exception>
+#include <functional>
 #include <stdexcept>
 
 #include "chem/scf.hpp"
@@ -223,13 +224,13 @@ JobResult ScfServer::execute(Pending& job) {
       result.g_digest = matrix_digest(g);
       result.g_norm = g.norm();
     } else {
+      // The same incremental G builder as chem::run_rhf, over the cached
+      // FockBuilder (which owns the screen threshold).
       chem::ScfOptions scf;
       scf.max_iterations = job.request.scf_max_iterations;
-      scf.screen_threshold = options_.screen_threshold;
+      chem::IncrementalGBuilder g(builder);
       const chem::ScfResult r = chem::run_rhf_with_builder(
-          entry->molecule, entry->basis,
-          [&builder](const linalg::Matrix& p) { return builder.build_g(p); },
-          scf);
+          entry->molecule, entry->basis, std::ref(g), scf);
       result.energy = r.energy;
       result.scf_converged = r.converged;
       result.scf_iterations = r.iterations;

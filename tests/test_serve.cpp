@@ -370,6 +370,21 @@ TEST(ServeDeterminismTest, PerTenantMetricsCountEveryJob) {
   EXPECT_EQ(snap.counters.at("serve/accepted"), 4);
 }
 
+TEST(ServeScfTest, ZeroIterationScfJobFailsWithAMessage) {
+  // A bad iteration cap fails at the SCF driver's boundary; the job
+  // reports the reason instead of an energy.
+  JobRequest scf = make_request("h2", "sto-3g");
+  scf.kind = JobRequest::Kind::kScf;
+  scf.scf_max_iterations = 0;
+  const auto results = run_batch({scf}, 1);
+  ASSERT_EQ(results.size(), 1u);
+  const JobResult& r = results.begin()->second;
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("max_iterations"), std::string::npos) << r.error;
+  EXPECT_EQ(r.energy, 0.0);
+  EXPECT_EQ(r.scf_iterations, 0);
+}
+
 // --------------------------------------------------------------- faults
 
 TEST(ServeFaultTest, RetriesReplayExactlyAndResultsMatchClean) {
