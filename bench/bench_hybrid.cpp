@@ -12,8 +12,8 @@
 //
 // The numbers are this host's wall time and go to stdout only. The
 // build's correctness contract (bitwise G across threads and policies,
-// task conservation, fault replay, closeness to the sequential build)
-// is pinned by HybridFockTest in tests/test_distributed_fock.cpp.
+// task conservation, closeness to the sequential build) is pinned by
+// HybridFockTest in tests/test_distributed_fock.cpp.
 //
 //   ./build/bench/bench_hybrid [--molecule=NAME]   (default water8)
 

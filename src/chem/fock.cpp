@@ -66,13 +66,6 @@ void FockBuilder::for_each_ket_pair(const ShellPairTask& task,
   }
 }
 
-std::uint64_t FockBuilder::count_task_quartets(
-    const ShellPairTask& task) const {
-  std::uint64_t count = 0;
-  for_each_ket_pair(task, nullptr, [&](int, int) { ++count; });
-  return count;
-}
-
 TaskCostFeatures FockBuilder::task_cost_features(
     const ShellPairTask& task) const {
   const auto& shells = basis_->shells();

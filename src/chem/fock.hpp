@@ -83,10 +83,6 @@ class FockBuilder {
   void execute_task(const ShellPairTask& task, const linalg::Matrix& density,
                     linalg::Matrix& j_accum, linalg::Matrix& k_accum) const;
 
-  /// Number of ket quartets the task would evaluate after screening;
-  /// proportional to its runtime. Used by load-balance inspectors.
-  std::uint64_t count_task_quartets(const ShellPairTask& task) const;
-
   /// Analytic work estimate (flop-weighted, no density info): sum over
   /// surviving quartets of the product of function counts and contraction
   /// depths. Cheap enough to run as an inspector pass.

@@ -1,33 +1,16 @@
 #include "core/distributed_fock.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
 #include "exec/tree_reduction.hpp"
 #include "lb/simple.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace emc::core {
 
 namespace {
-
-/// Stateless loss decision for one (task, attempt) execution; same hash
-/// construction as the PGAS/simulator fault layers. Rank- and
-/// thread-independent by design: whichever executor picks the task up
-/// sees the same verdict, so re-execution counts are deterministic
-/// under any schedule.
-bool task_attempt_lost(const DistributedFockOptions::TaskFaultOptions& tf,
-                       std::int64_t task, int attempt) {
-  std::uint64_t h = tf.seed ^
-                    (static_cast<std::uint64_t>(task) + 1) *
-                        0x9e3779b97f4a7c15ULL ^
-                    (static_cast<std::uint64_t>(attempt) + 1) *
-                        0xbf58476d1ce4e5b9ULL;
-  return unit_interval(splitmix64(h)) < tf.fail_prob;
-}
 
 /// Upper bound on reduction slots per build. The task list is cut into
 /// at most this many contiguous cost-balanced ranges — the unit of
@@ -38,14 +21,6 @@ bool task_attempt_lost(const DistributedFockOptions::TaskFaultOptions& tf,
 constexpr std::int64_t kMaxSlots = 64;
 
 }  // namespace
-
-void JkBufferPool::set_shape(std::size_t n) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (n_ == n) return;
-  storage_.clear();
-  free_.clear();
-  n_ = n;
-}
 
 JkBuffer* JkBufferPool::acquire() {
   JkBuffer* buffer = nullptr;
@@ -88,11 +63,11 @@ DistributedFockBuilder::DistributedFockBuilder(
       fock_(basis, options_.screen_threshold), tasks_(fock_.make_tasks()),
       schedule_{options_.model, options_.intra_policy, options_.counter_chunk,
                 options_.intra_chunk, options_.steal},
-      scheduler_(runtime, options_.threads) {
+      scheduler_(runtime, options_.threads),
+      buffer_pool_(static_cast<std::size_t>(basis.function_count())) {
   schedule_.validate();
   make_slots();
   slot_home_ = slot_assignment();
-  buffer_pool_.set_shape(static_cast<std::size_t>(basis_->function_count()));
   // Screening totals are Schwarz-only (density-independent): a property
   // of the basis + threshold, both fixed here, so tally once and add
   // per build.
@@ -150,7 +125,6 @@ void DistributedFockBuilder::attach_metrics() {
   runtime_->set_metrics(&reg);
   metrics_.builds = &reg.counter("fock/builds");
   metrics_.tasks = &reg.counter("fock/tasks");
-  metrics_.task_reexecs = &reg.counter("fock/task_reexecutions");
   metrics_.kets_scanned = &reg.counter("fock/ket_pairs_scanned");
   metrics_.kets_survived = &reg.counter("fock/ket_pairs_survived");
   metrics_.skip_rate = &reg.gauge("fock/screening_skip_rate");
@@ -197,8 +171,7 @@ lb::Assignment DistributedFockBuilder::slot_assignment() const {
 
 exec::ExecutionStats DistributedFockBuilder::run_hybrid(
     const std::vector<linalg::Matrix>& density,
-    std::vector<JkBuffer*>& rank_roots,
-    std::atomic<std::int64_t>& reexecs) {
+    std::vector<JkBuffer*>& rank_roots) {
   const int ranks = runtime_->size();
   const auto n_slots = static_cast<std::int64_t>(slots_.size());
   rank_roots.assign(static_cast<std::size_t>(ranks), nullptr);
@@ -219,8 +192,6 @@ exec::ExecutionStats DistributedFockBuilder::run_hybrid(
         n_slots, merge, recycle));
   }
 
-  const DistributedFockOptions::TaskFaultOptions& tf = options_.task_faults;
-
   // Executes one slot serially in ascending task order into a pooled
   // zeroed buffer, then delivers the partial to the rank's tree.
   const auto execute_slot = [&](std::int64_t s, int rank,
@@ -230,20 +201,6 @@ exec::ExecutionStats DistributedFockBuilder::run_hybrid(
     const auto [task_first, task_last] =
         slots_[static_cast<std::size_t>(s)];
     for (std::int64_t t = task_first; t < task_last; ++t) {
-      if (tf.enabled()) {
-        // Losses are decided before the kernel runs, so partial
-        // contributions never touch the buffer; each loss just costs
-        // its delay. The last attempt is forced through.
-        int attempt = 0;
-        while (attempt + 1 < tf.max_attempts &&
-               task_attempt_lost(tf, t, attempt)) {
-          pgas::inject_delay(tf.reexec_delay_ns);
-          ++attempt;
-        }
-        if (attempt > 0) {
-          reexecs.fetch_add(attempt, std::memory_order_relaxed);
-        }
-      }
       fock_.execute_task(tasks_[static_cast<std::size_t>(t)],
                          density[static_cast<std::size_t>(rank)],
                          buffer->j, buffer->k);
@@ -284,8 +241,7 @@ linalg::Matrix DistributedFockBuilder::build_g(
     k_ga.set_metrics(options_.metrics);
   }
   density_ga.put(0, 0, 0, n, n,
-                 std::span<const double>(density.data(), n * n),
-                 pgas::CommCostModel{});
+                 std::span<const double>(density.data(), n * n));
 
   // Per-rank density replicas (the one full-replica set the GA pattern
   // genuinely needs). J/K no longer get 2·ranks·n² replicas of their
@@ -295,7 +251,6 @@ linalg::Matrix DistributedFockBuilder::build_g(
   std::vector<linalg::Matrix> local_density(
       static_cast<std::size_t>(ranks), linalg::Matrix(n, n));
   std::vector<JkBuffer*> rank_roots;
-  std::atomic<std::int64_t> reexecs{0};
 
   // Fetch + execute + accumulate are their own SPMD phases. This
   // mirrors GA codes: GA_Get(P) ... do work ... GA_Acc(F) with
@@ -304,13 +259,12 @@ linalg::Matrix DistributedFockBuilder::build_g(
   runtime_->run([&](pgas::Context& ctx) {
     const auto ru = static_cast<std::size_t>(ctx.rank());
     density_ga.get(ctx.rank(), 0, 0, n, n,
-                   std::span<double>(local_density[ru].data(), n * n),
-                   ctx.cost_model());
+                   std::span<double>(local_density[ru].data(), n * n));
   });
   if (metrics_.phase_get != nullptr) metrics_.phase_get->add(phase.seconds());
 
   phase.reset();
-  last_stats_ = run_hybrid(local_density, rank_roots, reexecs);
+  last_stats_ = run_hybrid(local_density, rank_roots);
   if (metrics_.phase_execute != nullptr) {
     metrics_.phase_execute->add(phase.seconds());
   }
@@ -321,11 +275,9 @@ linalg::Matrix DistributedFockBuilder::build_g(
     const JkBuffer* root = rank_roots[ru];
     if (root == nullptr) return;  // rank executed no slots
     j_ga.accumulate(ctx.rank(), 0, 0, n, n,
-                    std::span<const double>(root->j.data(), n * n),
-                    ctx.cost_model());
+                    std::span<const double>(root->j.data(), n * n));
     k_ga.accumulate(ctx.rank(), 0, 0, n, n,
-                    std::span<const double>(root->k.data(), n * n),
-                    ctx.cost_model());
+                    std::span<const double>(root->k.data(), n * n));
   });
   for (JkBuffer* root : rank_roots) {
     if (root != nullptr) buffer_pool_.release(root);
@@ -342,11 +294,9 @@ linalg::Matrix DistributedFockBuilder::build_g(
     }
   }
   ++builds_;
-  last_reexecs_ = reexecs.load(std::memory_order_relaxed);
   if (metrics_.builds != nullptr) {
     metrics_.builds->add(1);
     metrics_.tasks->add(static_cast<std::int64_t>(tasks_.size()));
-    metrics_.task_reexecs->add(last_reexecs_);
     // Per-build tally of the fixed screening totals, rounded to nearest
     // (truncation undercounted by up to one ket pair per build).
     metrics_.kets_scanned->add(std::llround(scan_total_));

@@ -20,7 +20,6 @@
 // can be driven end-to-end through any execution model and verified
 // against the sequential reference (tests/test_distributed_fock.cpp).
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -65,26 +64,6 @@ struct DistributedFockOptions {
   /// Slots per rank-local counter grab under IntraPolicy::kCounter (>= 1).
   std::int64_t intra_chunk = 1;
 
-  /// Fault injection for task execution. Each (task, attempt) pair is
-  /// deemed lost with probability fail_prob — a stateless hash of
-  /// (seed, task, attempt), independent of which rank OR THREAD runs
-  /// it, so the same tasks are lost under any schedule or interleaving
-  /// and the re-execution count is deterministic under threading.
-  /// A lost attempt pays reexec_delay_ns of wasted work and is
-  /// re-executed. The loss decision is made BEFORE the kernel runs, so
-  /// exactly one real execution ever contributes to J/K: a
-  /// fault-injected build is bitwise identical to the fault-free one
-  /// whenever the accumulate ordering is (as with 2 ranks, where
-  /// two-operand addition commutes bitwise). The final attempt always
-  /// succeeds, bounding the retry loop at max_attempts.
-  struct TaskFaultOptions {
-    double fail_prob = 0.0;        ///< per-attempt loss probability
-    int max_attempts = 8;          ///< last attempt is forced through
-    std::uint64_t seed = 17;       ///< hash seed for loss decisions
-    std::uint64_t reexec_delay_ns = 0;  ///< cost of one lost attempt
-    bool enabled() const { return fail_prob > 0.0; }
-  };
-  TaskFaultOptions task_faults;
   /// Optional observability hook. When set, the builder attaches it to
   /// the runtime (per-rank barrier/PGAS counters), the per-build
   /// GlobalArrays (get/put/acc ops + bytes), and records its own
@@ -111,9 +90,8 @@ struct JkBuffer {
 /// ranks·slots, and the pool persists across SCF iterations.
 class JkBufferPool {
  public:
-  /// Sets the buffer shape; drops all pooled storage on change.
-  /// Must not be called while buffers are outstanding.
-  void set_shape(std::size_t n);
+  /// A pool of n×n buffer pairs.
+  explicit JkBufferPool(std::size_t n) : n_(n) {}
   JkBuffer* acquire();
   void release(JkBuffer* buffer);
   /// Buffers ever allocated (live + free). Stable after a build joins.
@@ -121,7 +99,7 @@ class JkBufferPool {
 
  private:
   mutable std::mutex mutex_;
-  std::size_t n_ = 0;
+  const std::size_t n_;
   std::vector<std::unique_ptr<JkBuffer>> storage_;
   std::vector<JkBuffer*> free_;
 };
@@ -155,9 +133,6 @@ class DistributedFockBuilder {
   const exec::ExecutionStats& last_stats() const { return last_stats_; }
   /// Total build_g invocations (SCF iterations served).
   int builds() const { return builds_; }
-  /// Task re-executions forced by fault injection during the most
-  /// recent build_g call (0 when task_faults are disabled).
-  std::int64_t last_task_reexecutions() const { return last_reexecs_; }
   /// The fixed slot partition (for tests/benches).
   std::int64_t slot_count() const {
     return static_cast<std::int64_t>(slots_.size());
@@ -167,8 +142,7 @@ class DistributedFockBuilder {
   void make_slots();
   lb::Assignment slot_assignment() const;
   exec::ExecutionStats run_hybrid(const std::vector<linalg::Matrix>& density,
-                                  std::vector<JkBuffer*>& rank_roots,
-                                  std::atomic<std::int64_t>& reexecs);
+                                  std::vector<JkBuffer*>& rank_roots);
   void attach_metrics();
 
   /// Pre-resolved "fock/..." instruments (see DistributedFockOptions::
@@ -176,7 +150,6 @@ class DistributedFockBuilder {
   struct FockMetrics {
     util::Counter* builds = nullptr;
     util::Counter* tasks = nullptr;
-    util::Counter* task_reexecs = nullptr;
     util::Counter* kets_scanned = nullptr;
     util::Counter* kets_survived = nullptr;
     util::Gauge* skip_rate = nullptr;
@@ -203,7 +176,6 @@ class DistributedFockBuilder {
   JkBufferPool buffer_pool_;
   exec::ExecutionStats last_stats_;
   int builds_ = 0;
-  std::int64_t last_reexecs_ = 0;
   FockMetrics metrics_;
   // Screening totals over all tasks (density-independent, so computed
   // once at construction): ket pairs scanned vs surviving Schwarz.

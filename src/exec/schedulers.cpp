@@ -87,7 +87,7 @@ ExecutionStats SlotScheduler::run(const SlotSchedule& schedule,
         .push_back(s);
   }
 
-  // Counter source over all slots: GA-nxtval, priced by the cost model.
+  // Counter source over all slots: GA-nxtval shared by every rank.
   pgas::GlobalCounter global_counter(0);
   if (policy == Policy::kCounter && global && runtime_->metrics() != nullptr) {
     global_counter.attach_metrics(*runtime_->metrics(), ranks);
@@ -135,10 +135,8 @@ ExecutionStats SlotScheduler::run(const SlotSchedule& schedule,
     const auto ru = static_cast<std::size_t>(rank);
     const std::vector<std::int64_t>& mine = rank_slots[ru];
     std::vector<RankStats> tstats(static_cast<std::size_t>(threads));
-    // Rank-local nxtval for the intra counter: a real atomic, not a
-    // network round trip, so it is priced free.
+    // Rank-local nxtval for the intra counter (no metrics attached).
     pgas::GlobalCounter local_counter(0);
-    const pgas::CommCostModel free_cost{};
 
     pools_[ru]->run([&](int tid) {
       RankStats& ts = tstats[static_cast<std::size_t>(tid)];
@@ -154,14 +152,12 @@ ExecutionStats SlotScheduler::run(const SlotSchedule& schedule,
           case Policy::kCounter: {
             pgas::GlobalCounter& counter =
                 global ? global_counter : local_counter;
-            const pgas::CommCostModel& cost =
-                global ? ctx.cost_model() : free_cost;
             const std::int64_t chunk =
                 global ? schedule.counter_chunk : schedule.intra_chunk;
             const auto count =
                 global ? n_slots : static_cast<std::int64_t>(mine.size());
             while (!stopped()) {
-              const std::int64_t first = counter.fetch_add(chunk, cost, rank);
+              const std::int64_t first = counter.fetch_add(chunk, rank);
               ++ts.counter_ops;
               if (first >= count) break;
               const std::int64_t last = std::min(first + chunk, count);
@@ -214,12 +210,10 @@ ExecutionStats SlotScheduler::run(const SlotSchedule& schedule,
                 if (steal_from(deque_of(rank, vt))) continue;
               }
               if (remote) {
-                // Remote victims pay the injected remote latency.
                 const auto pick = static_cast<std::int64_t>(rng.below(
                     static_cast<std::uint64_t>((ranks - 1) * threads)));
                 auto vr = static_cast<int>(pick / threads);
                 if (vr >= rank) ++vr;
-                pgas::inject_delay(ctx.cost_model().remote_ns);
                 steal_from(deque_of(vr, static_cast<int>(pick % threads)));
               }
             }

@@ -7,9 +7,8 @@
 //
 //   * static        — a cyclic slice of the rank's home slots
 //   * counter       — GA-nxtval chunked self-scheduling, either over the
-//                     rank's home slots (rank-local atomic, free) or over
-//                     all slots (the global counter, priced by the
-//                     runtime's cost model)
+//                     rank's home slots (a rank-local atomic) or over all
+//                     slots (the global counter shared by every rank)
 //   * work stealing — per-executor Chase–Lev deques seeded cyclically over
 //                     the rank's threads; victims are co-threads first,
 //                     then remote ranks, and a thief takes half the

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-
 namespace emc::pgas {
 
 namespace {
@@ -29,7 +28,6 @@ void GlobalArray::set_metrics(util::MetricsRegistry* registry) {
     get_metrics_ = {};
     put_metrics_ = {};
     acc_metrics_ = {};
-    retry_metrics_.clear();
     return;
   }
   resolve_op_counters(*registry, n_ranks_, "get", get_metrics_.ops,
@@ -38,36 +36,12 @@ void GlobalArray::set_metrics(util::MetricsRegistry* registry) {
                       put_metrics_.bytes);
   resolve_op_counters(*registry, n_ranks_, "acc", acc_metrics_.ops,
                       acc_metrics_.bytes);
-  retry_metrics_.clear();
-  for (int r = 0; r < n_ranks_; ++r) {
-    retry_metrics_.push_back(
-        &registry->counter("pgas/r" + std::to_string(r) + "/op_retries"));
-  }
   metrics_attached_ = true;
-}
-
-void GlobalArray::resolve_faults(int caller, std::size_t n_bytes,
-                                 const CommCostModel& cost) const {
-  if (!cost.faults_enabled()) return;
-  const std::size_t slot =
-      (caller >= 0 && caller < n_ranks_)
-          ? static_cast<std::size_t>(caller) + 1
-          : 0;
-  const std::uint64_t seq =
-      op_seq_[slot].fetch_add(1, std::memory_order_relaxed);
-  // A dropped attempt wastes the full remote round trip for the patch.
-  const int retries = resolve_with_retries(
-      cost, caller, seq, cost.transfer_cost(true, n_bytes));
-  if (retries > 0 && metrics_attached_ && caller >= 0 &&
-      caller < static_cast<int>(retry_metrics_.size())) {
-    retry_metrics_[static_cast<std::size_t>(caller)]->add(retries);
-  }
 }
 
 GlobalArray::GlobalArray(std::size_t rows, std::size_t cols, int n_ranks)
     : rows_(rows), cols_(cols), n_ranks_(n_ranks), data_(rows * cols, 0.0),
-      stripe_mutexes_(static_cast<std::size_t>(n_ranks)),
-      op_seq_(static_cast<std::size_t>(n_ranks) + 1) {
+      stripe_mutexes_(static_cast<std::size_t>(n_ranks)) {
   if (n_ranks < 1) throw std::invalid_argument("GlobalArray: n_ranks < 1");
   if (rows == 0 || cols == 0) {
     throw std::invalid_argument("GlobalArray: empty array");
@@ -110,32 +84,26 @@ void GlobalArray::for_each_stripe(std::size_t r0, std::size_t h,
 }
 
 void GlobalArray::get(int caller, std::size_t r0, std::size_t c0,
-                      std::size_t h, std::size_t w, std::span<double> out,
-                      const CommCostModel& cost) const {
+                      std::size_t h, std::size_t w,
+                      std::span<double> out) const {
   check_patch(r0, c0, h, w);
   if (out.size() < h * w) throw std::invalid_argument("get: buffer too small");
-  resolve_faults(caller, h * w * sizeof(double), cost);
   if (metrics_attached_) get_metrics_.record(caller, h * w * sizeof(double));
-  for_each_stripe(r0, h, [&](int rank, std::size_t first, std::size_t last) {
-    inject_delay(cost.transfer_cost(rank != caller,
-                                    (last - first) * w * sizeof(double)));
-    for (std::size_t r = first; r < last; ++r) {
-      const double* src = data_.data() + r * cols_ + c0;
-      std::copy(src, src + w, out.data() + (r - r0) * w);
-    }
-  });
+  // Reads take no stripe lock, so the patch is copied without a stripe
+  // walk.
+  for (std::size_t r = 0; r < h; ++r) {
+    const double* src = data_.data() + (r0 + r) * cols_ + c0;
+    std::copy(src, src + w, out.data() + r * w);
+  }
 }
 
 void GlobalArray::put(int caller, std::size_t r0, std::size_t c0,
                       std::size_t h, std::size_t w,
-                      std::span<const double> in, const CommCostModel& cost) {
+                      std::span<const double> in) {
   check_patch(r0, c0, h, w);
   if (in.size() < h * w) throw std::invalid_argument("put: buffer too small");
-  resolve_faults(caller, h * w * sizeof(double), cost);
   if (metrics_attached_) put_metrics_.record(caller, h * w * sizeof(double));
   for_each_stripe(r0, h, [&](int rank, std::size_t first, std::size_t last) {
-    inject_delay(cost.transfer_cost(rank != caller,
-                                    (last - first) * w * sizeof(double)));
     std::lock_guard<std::mutex> lock(
         stripe_mutexes_[static_cast<std::size_t>(rank)]);
     for (std::size_t r = first; r < last; ++r) {
@@ -147,17 +115,13 @@ void GlobalArray::put(int caller, std::size_t r0, std::size_t c0,
 
 void GlobalArray::accumulate(int caller, std::size_t r0, std::size_t c0,
                              std::size_t h, std::size_t w,
-                             std::span<const double> in,
-                             const CommCostModel& cost) {
+                             std::span<const double> in) {
   check_patch(r0, c0, h, w);
   if (in.size() < h * w) {
     throw std::invalid_argument("accumulate: buffer too small");
   }
-  resolve_faults(caller, h * w * sizeof(double), cost);
   if (metrics_attached_) acc_metrics_.record(caller, h * w * sizeof(double));
   for_each_stripe(r0, h, [&](int rank, std::size_t first, std::size_t last) {
-    inject_delay(cost.transfer_cost(rank != caller,
-                                    (last - first) * w * sizeof(double)));
     std::lock_guard<std::mutex> lock(
         stripe_mutexes_[static_cast<std::size_t>(rank)]);
     for (std::size_t r = first; r < last; ++r) {

@@ -3,12 +3,11 @@
 // Distributed dense 2D array with Global-Arrays-style one-sided access.
 //
 // The array is partitioned into row stripes, one per rank (the owner).
-// Any rank may Get, Put, or Accumulate any rectangular patch; operations
-// touching stripes owned by other ranks pay the cost model's remote
-// latency. Accumulate is atomic per stripe (mutex), matching ARMCI's
-// element-wise atomic accumulate guarantee.
+// Any rank may Get, Put, or Accumulate any rectangular patch; the owner
+// decides only which stripe lock an update takes, since every stripe is
+// plain shared memory. Accumulate is atomic per stripe (mutex), matching
+// ARMCI's element-wise atomic accumulate guarantee.
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <span>
@@ -33,25 +32,21 @@ class GlobalArray {
   std::pair<std::size_t, std::size_t> local_rows(int rank) const;
 
   /// Copies the patch [r0, r0+h) x [c0, c0+w) into `out` (row-major,
-  /// h*w elements). `caller` pays remote latency for non-owned stripes.
+  /// h*w elements). `caller` is the rank the operation is counted for.
   void get(int caller, std::size_t r0, std::size_t c0, std::size_t h,
-           std::size_t w, std::span<double> out,
-           const CommCostModel& cost) const;
+           std::size_t w, std::span<double> out) const;
 
   /// Overwrites the patch from `in` (row-major h*w).
   void put(int caller, std::size_t r0, std::size_t c0, std::size_t h,
-           std::size_t w, std::span<const double> in,
-           const CommCostModel& cost);
+           std::size_t w, std::span<const double> in);
 
   /// Atomically adds `in` into the patch (ARMCI_Acc semantics).
   void accumulate(int caller, std::size_t r0, std::size_t c0, std::size_t h,
-                  std::size_t w, std::span<const double> in,
-                  const CommCostModel& cost);
+                  std::size_t w, std::span<const double> in);
 
   /// Attaches a metrics registry: get/put/accumulate record per-caller
   /// operation counts and bytes moved ("pgas/r<k>/get_ops",
-  /// "pgas/r<k>/get_bytes", likewise put/acc) plus fault-injected retry
-  /// counts ("pgas/r<k>/op_retries"). The names carry no array
+  /// "pgas/r<k>/get_bytes", likewise put/acc). The names carry no array
   /// identity, so several arrays sharing a registry accumulate into the
   /// same per-rank totals. Counters are resolved once here; nullptr
   /// detaches. The registry must outlive the array.
@@ -65,13 +60,6 @@ class GlobalArray {
  private:
   void check_patch(std::size_t r0, std::size_t c0, std::size_t h,
                    std::size_t w) const;
-  /// Replays the drop/retry protocol (resolve_with_retries) before a
-  /// one-sided op when `cost.faults_enabled()`. Each caller advances its
-  /// own op-sequence stream, so a fixed per-rank operation order replays
-  /// the same drops regardless of thread interleaving. Records retries
-  /// into "pgas/r<k>/op_retries" when metrics are attached.
-  void resolve_faults(int caller, std::size_t n_bytes,
-                      const CommCostModel& cost) const;
   /// Invokes fn(stripe_rank, row_first, row_last) for each stripe the
   /// row range [r0, r0+h) intersects.
   template <typename Fn>
@@ -93,12 +81,8 @@ class GlobalArray {
   int n_ranks_;
   std::vector<double> data_;
   mutable std::vector<std::mutex> stripe_mutexes_;
-  // Per-caller one-sided op sequence (slot 0 for anonymous callers,
-  // slot k+1 for rank k), feeding the drop-decision hash.
-  mutable std::vector<std::atomic<std::uint64_t>> op_seq_;
   bool metrics_attached_ = false;
   OpMetrics get_metrics_, put_metrics_, acc_metrics_;
-  std::vector<util::Counter*> retry_metrics_;
 };
 
 }  // namespace emc::pgas

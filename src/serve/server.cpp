@@ -14,9 +14,9 @@ namespace emc::serve {
 
 namespace {
 
-/// Stateless per-attempt loss decision — same idiom as the distributed
-/// builder's task_attempt_lost, keyed on the job id instead of the task
-/// index so replays are exact for a fixed submission order.
+/// Stateless per-attempt loss decision — the splitmix64 idiom of
+/// sim::FaultSchedule::drop_op, keyed on the job id so replays are exact
+/// for a fixed submission order.
 bool job_attempt_lost(const ServerOptions& options, std::int64_t job_id,
                       int attempt) {
   std::uint64_t h = options.fault_seed ^
@@ -42,6 +42,15 @@ std::uint64_t matrix_digest(const linalg::Matrix& m) {
     }
   }
   return h;
+}
+
+/// An already-resolved future for a job that never ran.
+std::future<JobResult> failed_result(const char* error) {
+  std::promise<JobResult> p;
+  JobResult r;
+  r.error = error;
+  p.set_value(std::move(r));
+  return p.get_future();
 }
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -75,11 +84,7 @@ ScfServer::Submission ScfServer::submit(const JobRequest& request) {
     ++counts_.submitted;
     if (stopping_ || stopped_) {
       ++counts_.rejected;
-      std::promise<JobResult> p;
-      out.result = p.get_future();
-      JobResult r;
-      r.error = "rejected";
-      p.set_value(std::move(r));
+      out.result = failed_result("rejected");
       return out;
     }
     if (queue_.size() >= options_.queue_capacity) {
@@ -88,39 +93,27 @@ ScfServer::Submission ScfServer::submit(const JobRequest& request) {
         if (options_.metrics != nullptr) {
           options_.metrics->counter("serve/rejected").add();
         }
-        std::promise<JobResult> p;
-        out.result = p.get_future();
-        JobResult r;
-        r.error = "rejected";
-        p.set_value(std::move(r));
+        out.result = failed_result("rejected");
         return out;
       }
-      // kShed: the victim is the worst queued job — lowest priority,
-      // then youngest (map rbegin). The new arrival must STRICTLY
-      // outrank it to displace it; otherwise the new arrival itself is
-      // shed (ties keep the incumbent: it was admitted first).
+      // kShed: one job is shed either way. The victim is the worst
+      // queued job — lowest priority, then youngest (map rbegin). The
+      // new arrival must STRICTLY outrank it to displace it; otherwise
+      // the new arrival itself is shed (ties keep the incumbent: it was
+      // admitted first).
+      ++counts_.shed;
+      if (options_.metrics != nullptr) {
+        options_.metrics->counter("serve/shed").add();
+      }
       auto victim = std::prev(queue_.end());
       const int victim_priority = -victim->first.first;
-      if (request.priority > victim_priority) {
-        ++counts_.shed;
-        if (options_.metrics != nullptr) {
-          options_.metrics->counter("serve/shed").add();
-        }
-        displaced = std::move(victim->second);
-        queue_.erase(victim);
-      } else {
-        ++counts_.shed;
-        if (options_.metrics != nullptr) {
-          options_.metrics->counter("serve/shed").add();
-        }
+      if (request.priority <= victim_priority) {
         out.admit = Admit::kShedNew;
-        std::promise<JobResult> p;
-        out.result = p.get_future();
-        JobResult r;
-        r.error = "shed";
-        p.set_value(std::move(r));
+        out.result = failed_result("shed");
         return out;
       }
+      displaced = std::move(victim->second);
+      queue_.erase(victim);
     }
     auto pending = std::make_unique<Pending>();
     pending->request = request;

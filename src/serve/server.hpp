@@ -21,10 +21,10 @@
 //    worker that claimed it, so a job's results (SCF energy bits, Fock
 //    digest) are bitwise identical for any pool size — the request-
 //    level analogue of the hybrid builder's bitwise contract.
-//  * Faults: per-attempt job loss decided by the same stateless
-//    splitmix64 hash idiom as DistributedFockOptions::TaskFaultOptions,
-//    keyed (seed, job id, attempt) — retries are replayable and the
-//    final result is bitwise identical to the fault-free run.
+//  * Faults: per-attempt job loss decided by the stateless splitmix64
+//    hash idiom of sim::FaultSchedule::drop_op, keyed (seed, job id,
+//    attempt) — retries are replayable and the final result is bitwise
+//    identical to the fault-free run.
 //  * Chemistry reuse: every job resolves its (molecule, basis) through
 //    the shared cross-request FockCache (see fock_cache.hpp).
 //

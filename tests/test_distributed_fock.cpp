@@ -183,66 +183,12 @@ TEST_F(DistributedFockTest, RejectsAsymmetricDensity) {
   EXPECT_THROW(builder.build_g(density), std::invalid_argument);
 }
 
-TEST_F(DistributedFockTest, FaultInjectedBuildIsBitwiseIdentical) {
-  // Faults cost time, never accuracy: with task re-execution and
-  // dropped/retried one-sided ops switched on, the G matrix must equal
-  // the fault-free build BITWISE. 2 ranks + the static model keep the
-  // accumulate ordering bitwise-commutative, so no tolerance is needed.
-  const auto n = static_cast<std::size_t>(basis.function_count());
-  linalg::Matrix density(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      density(i, j) = (i == j ? 1.0 : 0.03);
-    }
-  }
-
-  DistributedFockOptions options;
-  options.model = ExecModel::kStatic;
-  options.static_balancer = "lpt";
-  pgas::Runtime clean_runtime(2);
-  DistributedFockBuilder clean(basis, clean_runtime, options);
-  const linalg::Matrix g_clean = clean.build_g(density);
-  EXPECT_EQ(clean.last_task_reexecutions(), 0);
-
-  pgas::CommCostModel faulty_cost;
-  faulty_cost.drop_prob = 0.2;
-  faulty_cost.retry_backoff_ns = 50;
-  pgas::Runtime faulty_runtime(2, faulty_cost);
-  DistributedFockOptions faulty_options = options;
-  faulty_options.task_faults.fail_prob = 0.3;
-  faulty_options.task_faults.reexec_delay_ns = 200;
-  util::MetricsRegistry registry;
-  faulty_options.metrics = &registry;
-  DistributedFockBuilder faulty(basis, faulty_runtime, faulty_options);
-  const linalg::Matrix g_faulty = faulty.build_g(density);
-
-  // fail_prob = 0.3 over the water task set re-executes something
-  // (deterministic hash — stable for this seed).
-  EXPECT_GT(faulty.last_task_reexecutions(), 0);
-  EXPECT_EQ(registry.counter("fock/task_reexecutions").value(),
-            faulty.last_task_reexecutions());
-  EXPECT_EQ(std::memcmp(g_clean.data(), g_faulty.data(),
-                        n * n * sizeof(double)),
-            0);
-
-  // The same faulted configuration replays to the same answer.
-  pgas::Runtime replay_runtime(2, faulty_cost);
-  faulty_options.metrics = nullptr;
-  DistributedFockBuilder replay(basis, replay_runtime, faulty_options);
-  const linalg::Matrix g_replay = replay.build_g(density);
-  EXPECT_EQ(replay.last_task_reexecutions(),
-            faulty.last_task_reexecutions());
-  EXPECT_EQ(std::memcmp(g_faulty.data(), g_replay.data(),
-                        n * n * sizeof(double)),
-            0);
-}
-
 // ---------------------------------------------------------------------
 // Hybrid ranks × threads determinism suite. The contract (DESIGN.md
 // "Hybrid execution"): for any deterministic task→rank assignment —
 // the static model, or any model at 1 rank — the G matrix is BITWISE
-// identical across thread counts, intra-rank policies, scheduling
-// interleavings, and fault injection. 2 static ranks keep the
+// identical across thread counts, intra-rank policies and scheduling
+// interleavings. 2 static ranks keep the
 // cross-rank accumulate bitwise-commutative, so the whole pipeline is
 // exact end to end.
 
@@ -341,46 +287,6 @@ TEST_F(HybridFockTest, SingleRankBitwiseIdenticalAcrossInterModels) {
   }
 }
 
-TEST_F(HybridFockTest, FaultedBuildsStayBitwiseAndReexecsDeterministic) {
-  // Task faults are a stateless hash of (seed, task, attempt) —
-  // executor-independent — so under threading the G matrix AND the
-  // re-execution count must both replay exactly, and match the
-  // fault-free build bitwise.
-  const linalg::Matrix density = make_density();
-
-  DistributedFockOptions clean_options;
-  clean_options.model = ExecModel::kStatic;
-  clean_options.static_balancer = "lpt";
-  pgas::Runtime clean_runtime(2);
-  DistributedFockBuilder clean(basis, clean_runtime, clean_options);
-  const linalg::Matrix g_clean = clean.build_g(density);
-
-  std::int64_t expected_reexecs = -1;
-  for (const int threads : {1, 2, 8}) {
-    for (const IntraPolicy intra :
-         {IntraPolicy::kStatic, IntraPolicy::kCounter,
-          IntraPolicy::kWorkStealing}) {
-      DistributedFockOptions options = clean_options;
-      options.threads = threads;
-      options.intra_policy = intra;
-      options.task_faults.fail_prob = 0.3;
-      options.task_faults.reexec_delay_ns = 100;
-      pgas::Runtime runtime(2);
-      DistributedFockBuilder builder(basis, runtime, options);
-      const linalg::Matrix g = builder.build_g(density);
-      EXPECT_TRUE(bitwise_equal(g_clean, g))
-          << "threads=" << threads << " intra=" << intra_name(intra);
-      if (expected_reexecs < 0) {
-        expected_reexecs = builder.last_task_reexecutions();
-        EXPECT_GT(expected_reexecs, 0);
-      } else {
-        EXPECT_EQ(builder.last_task_reexecutions(), expected_reexecs)
-            << "threads=" << threads << " intra=" << intra_name(intra);
-      }
-    }
-  }
-}
-
 TEST_F(HybridFockTest, HybridScfMatchesSequentialAndCountsCounterOps) {
   // Full SCF through the hybrid path: threads + intra counter under the
   // global-counter inter model (R·T contenders on one nxtval).
@@ -432,9 +338,8 @@ TEST_F(HybridFockTest, RejectsNonPositiveThreads) {
 // Pinned digests. Every other check here compares one combo against a
 // reference built by the same binary, so a change that moved the slot
 // or tree order for EVERY combo at once would pass them all. These pin
-// the bytes of G (FNV-1a 64) and the re-execution count of each
-// deterministic cell to the values the scheduler produced when they
-// were recorded.
+// the bytes of G (FNV-1a 64) of each deterministic cell to the values
+// the scheduler produced when they were recorded.
 
 std::uint64_t fnv1a(const linalg::Matrix& m) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -450,16 +355,13 @@ struct PinnedCell {
   IntraPolicy intra;
   int threads;
   int ranks;
-  bool faults;
   std::uint64_t digest;
-  std::int64_t reexecs;
 };
 
 // Water/STO-3G, make_density(), lpt balancer. Every static cell at a
 // given rank count shares one G; so do the 1-rank dynamic cells.
 constexpr std::uint64_t kClean1 = 0x86ec6ac4edc0e2d0ULL;  // 1 rank
 constexpr std::uint64_t kClean2 = 0x1c9308266e9cdd45ULL;  // 2 ranks
-constexpr std::int64_t kFaultReexecs = 6;
 
 std::vector<PinnedCell> pinned_cells() {
   std::vector<PinnedCell> cells;
@@ -468,23 +370,15 @@ std::vector<PinnedCell> pinned_cells() {
   for (const int ranks : {1, 2}) {
     for (const IntraPolicy intra : intras) {
       for (const int threads : {1, 2, 8}) {
-        cells.push_back({ExecModel::kStatic, intra, threads, ranks, false,
-                         ranks == 1 ? kClean1 : kClean2, 0});
+        cells.push_back({ExecModel::kStatic, intra, threads, ranks,
+                         ranks == 1 ? kClean1 : kClean2});
       }
     }
   }
   for (const ExecModel model :
        {ExecModel::kCounter, ExecModel::kWorkStealing}) {
     for (const int threads : {1, 2, 8}) {
-      cells.push_back(
-          {model, IntraPolicy::kStatic, threads, 1, false, kClean1, 0});
-    }
-  }
-  // The faulted cells of FaultedBuildsStayBitwiseAndReexecsDeterministic.
-  for (const IntraPolicy intra : intras) {
-    for (const int threads : {1, 2, 8}) {
-      cells.push_back({ExecModel::kStatic, intra, threads, 2, true, kClean2,
-                       kFaultReexecs});
+      cells.push_back({model, IntraPolicy::kStatic, threads, 1, kClean1});
     }
   }
   return cells;
@@ -499,10 +393,6 @@ TEST_F(HybridFockTest, PinnedDigestsOfDeterministicCells) {
     options.threads = cell.threads;
     options.static_balancer = "lpt";
     options.intra_chunk = 2;
-    if (cell.faults) {
-      options.task_faults.fail_prob = 0.3;
-      options.task_faults.reexec_delay_ns = 100;
-    }
     pgas::Runtime runtime(cell.ranks);
     DistributedFockBuilder builder(basis, runtime, options);
     const std::uint64_t digest = fnv1a(builder.build_g(density));
@@ -510,16 +400,14 @@ TEST_F(HybridFockTest, PinnedDigestsOfDeterministicCells) {
         "model=" + std::to_string(static_cast<int>(cell.model)) +
         " intra=" + intra_name(cell.intra) +
         " threads=" + std::to_string(cell.threads) +
-        " ranks=" + std::to_string(cell.ranks) +
-        " faults=" + std::to_string(cell.faults);
+        " ranks=" + std::to_string(cell.ranks);
     EXPECT_EQ(digest, cell.digest) << where << " digest=0x" << std::hex
                                    << digest;
-    EXPECT_EQ(builder.last_task_reexecutions(), cell.reexecs) << where;
   }
 }
 
 // Seeded randomized differential harness: random ranks × threads ×
-// inter/intra pair × chunks × balancer × task faults must reproduce the
+// inter/intra pair × chunks × balancer must reproduce the
 // sequential FockBuilder's G and account for every task.
 TEST_F(HybridFockTest, RandomizedDifferentialAgainstSequential) {
   const linalg::Matrix density = make_density();
@@ -559,10 +447,6 @@ TEST_F(HybridFockTest, RandomizedDifferentialAgainstSequential) {
       options.intra_chunk = 1 + static_cast<std::int64_t>(rng.below(4));
       options.static_balancer = balancers[rng.below(3)];
       options.steal.seed = rng();
-      if (rng.below(2) == 1) {
-        options.task_faults.fail_prob = 0.25;
-        options.task_faults.seed = rng();
-      }
     }
     pgas::Runtime runtime(ranks);
     DistributedFockBuilder builder(basis, runtime, options);

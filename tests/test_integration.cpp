@@ -115,11 +115,9 @@ TEST(IntegrationTest, GlobalArrayAccumulationPath) {
       builder.execute_task(tasks[t], density, j_local, k_local);
     }
     j_global.accumulate(ctx.rank(), 0, 0, n, n,
-                        std::span<const double>(j_local.data(), n * n),
-                        ctx.cost_model());
+                        std::span<const double>(j_local.data(), n * n));
     k_global.accumulate(ctx.rank(), 0, 0, n, n,
-                        std::span<const double>(k_local.data(), n * n),
-                        ctx.cost_model());
+                        std::span<const double>(k_local.data(), n * n));
   });
 
   Matrix j_total(n, n), k_total(n, n);
