@@ -139,6 +139,39 @@ void for_each_screened_quartet(const FockBuilder& builder,
   }
 }
 
+/// One batched kernel call: a bra and the ket pairs of a window, each
+/// writing into one shared output buffer.
+struct EriCall {
+  const ShellPairData* bra = nullptr;
+  std::vector<EriKet> kets;
+};
+
+/// The calls a build of `builder` makes: each task's screened ket pairs
+/// in loop order, grouped into windows as FockBuilder::digest_task
+/// groups them (eri_window_full). Outputs go to `buffer`.
+std::vector<EriCall> build_windows(const FockBuilder& builder,
+                                   double* buffer) {
+  const auto& pairs = builder.shell_pairs();
+  std::vector<EriCall> calls;
+  std::size_t used = 0;
+  for_each_screened_quartet(
+      builder, builder.make_tasks(),
+      [&](const ShellPairTask& task, int k, int l) {
+        const ShellPairData& bra = pairs.pair(task.si, task.sj);
+        const ShellPairData& ket = pairs.pair(k, l);
+        const auto size = static_cast<std::size_t>(bra.na() * bra.nb() *
+                                                   ket.na() * ket.nb());
+        if (calls.empty() || calls.back().bra != &bra ||
+            eri_window_full(calls.back().kets.size(), used, size)) {
+          calls.push_back(EriCall{&bra, {}});
+          used = 0;
+        }
+        calls.back().kets.push_back(EriKet{&ket, buffer + used});
+        used += size;
+      });
+  return calls;
+}
+
 /// Sweeps every screened quartet of the Fock-build task decomposition,
 /// once through the seed kernel and once through the pair cache. This is
 /// the workload whose speedup the cost-model recalibration records.
@@ -224,8 +257,6 @@ struct EriSplitResult {
 
 EriSplitResult eri_digest_split(const FockBuilder& builder, int reps,
                                 std::uint64_t seed) {
-  const auto& pairs = builder.shell_pairs();
-  const auto tasks = builder.make_tasks();
   const auto n = static_cast<std::size_t>(builder.basis().function_count());
   emc::Rng rng(seed);
   emc::linalg::Matrix density(n, n);
@@ -236,17 +267,16 @@ EriSplitResult eri_digest_split(const FockBuilder& builder, int reps,
   }
 
   std::vector<double> eri, build, digest;
-  std::array<double, kMaxQuartetSize> block;
+  std::array<double, kMaxQuartetSize> buffer;
+  // The build's own kernel calls: its windows through the batched entry.
+  const std::vector<EriCall> calls = build_windows(builder, buffer.data());
   double sink = 0.0;
   for (int r = 0; r < reps; ++r) {
     double start = thread_cpu_ms();
-    // The build's own kernel entry: a stack block, no allocation.
-    for_each_screened_quartet(
-        builder, tasks, [&](const ShellPairTask& task, int k, int l) {
-          eri_shell_quartet(pairs.pair(task.si, task.sj), pairs.pair(k, l),
-                            block.data());
-          sink += block[0];
-        });
+    for (const EriCall& call : calls) {
+      eri_shell_quartets(*call.bra, call.kets);
+      sink += buffer[0];
+    }
     eri.push_back(thread_cpu_ms() - start);
     start = thread_cpu_ms();
     sink += builder.build_g(density)(0, 0);
@@ -260,21 +290,31 @@ EriSplitResult eri_digest_split(const FockBuilder& builder, int reps,
 /// One (la lb|lc ld) class of a build's screened quartets.
 struct MixClass {
   std::string name;
-  std::vector<std::pair<const ShellPairData*, const ShellPairData*>> quartets;
-  std::size_t prim_quartets = 0;  ///< surviving pruning
+  std::vector<EriCall> calls;     ///< the class's ket pairs of each window
+  std::size_t quartets = 0;
+  std::size_t prim_quartets = 0;  ///< surviving pruning: the lanes
+  std::size_t batches = 0;        ///< lane batches the kernel runs
   double cpu_ms = 0.0;            ///< median ERI CPU time of the class
   double prim_quartet_ns() const {
     return prim_quartets > 0
                ? cpu_ms * 1e6 / static_cast<double>(prim_quartets)
                : 0.0;
   }
+  double lanes_per_batch() const {
+    return batches > 0 ? static_cast<double>(prim_quartets) /
+                             static_cast<double>(batches)
+                       : 0.0;
+  }
 };
 
 /// Where a build's ERI time goes: the screened quartets of `builder`
 /// grouped by angular class, each class swept `reps` times (classes
-/// interleaved within a repeat; thread CPU time, median per class).
+/// interleaved within a repeat; thread CPU time, median per class). The
+/// build's windows are split by class: each window's ket pairs of one
+/// class, in window order, are one batched call, as the kernel of their
+/// ket class sees them. A batch is one bra primitive's surviving lanes
+/// of a call, eri_lane_capacity at a time.
 std::vector<MixClass> class_mix(const FockBuilder& builder, int reps) {
-  const auto& pairs = builder.shell_pairs();
   std::vector<MixClass> mix(81);
   for (std::size_t i = 0; i < mix.size(); ++i) {
     // i = ((la*3 + lb)*3 + lc)*3 + ld. Built from a char array: gcc 12
@@ -284,27 +324,49 @@ std::vector<MixClass> class_mix(const FockBuilder& builder, int reps) {
                          l[i / 3 % 3], l[i % 3], ')'};
     mix[i].name.assign(name, sizeof name);
   }
-  for_each_screened_quartet(
-      builder, builder.make_tasks(),
-      [&](const ShellPairTask& task, int k, int l) {
-        const ShellPairData& bra = pairs.pair(task.si, task.sj);
-        const ShellPairData& ket = pairs.pair(k, l);
-        MixClass& c = mix[static_cast<std::size_t>(
-            ((bra.la * 3 + bra.lb) * 3 + ket.la) * 3 + ket.lb)];
-        c.quartets.emplace_back(&bra, &ket);
-        c.prim_quartets += surviving_prim_quartets(bra, ket);
-      });
-  std::erase_if(mix, [](const MixClass& c) { return c.quartets.empty(); });
+  std::array<double, kMaxQuartetSize> buffer;
+  const std::vector<EriCall> windows = build_windows(builder, buffer.data());
+  std::vector<std::size_t> last_window(mix.size(), windows.size());
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    const ShellPairData& bra = *windows[w].bra;
+    for (const EriKet& k : windows[w].kets) {
+      const auto i = static_cast<std::size_t>(
+          ((bra.la * 3 + bra.lb) * 3 + k.pair->la) * 3 + k.pair->lb);
+      if (last_window[i] != w) {
+        mix[i].calls.push_back(EriCall{&bra, {}});
+        last_window[i] = w;
+      }
+      mix[i].calls.back().kets.push_back(k);
+    }
+  }
+  std::erase_if(mix, [](const MixClass& c) { return c.calls.empty(); });
+  for (MixClass& c : mix) {
+    for (const EriCall& call : c.calls) {
+      const ShellPairData& bra = *call.bra;
+      const std::size_t capacity = eri_lane_capacity(
+          bra.la + bra.lb, call.kets[0].pair->la + call.kets[0].pair->lb);
+      c.quartets += call.kets.size();
+      for (const PrimitivePairData& bp : bra.prims) {
+        std::size_t lanes = 0;
+        for (const EriKet& k : call.kets) {
+          for (const PrimitivePairData& kp : k.pair->prims) {
+            if (bp.bound * kp.bound >= kPrimQuartetPrune) ++lanes;
+          }
+        }
+        c.prim_quartets += lanes;
+        c.batches += (lanes + capacity - 1) / capacity;
+      }
+    }
+  }
 
   std::vector<std::vector<double>> ms(mix.size());
-  std::array<double, kMaxQuartetSize> block;
   double sink = 0.0;
   for (int r = 0; r < reps; ++r) {
     for (std::size_t i = 0; i < mix.size(); ++i) {
       const double start = thread_cpu_ms();
-      for (const auto& [bra, ket] : mix[i].quartets) {
-        eri_shell_quartet(*bra, *ket, block.data());
-        sink += block[0];
+      for (const EriCall& call : mix[i].calls) {
+        eri_shell_quartets(*call.bra, call.kets);
+        sink += buffer[0];
       }
       ms[i].push_back(thread_cpu_ms() - start);
     }
@@ -406,20 +468,22 @@ int run_smoke(const std::string& json_path, double min_speedup,
   std::size_t mix_quartets = 0, mix_prims = 0;
   double mix_ms = 0.0;
   for (const MixClass& c : mix) {
-    mix_quartets += c.quartets.size();
+    mix_quartets += c.quartets;
     mix_prims += c.prim_quartets;
     mix_ms += c.cpu_ms;
   }
   std::printf("\nClass mix of the water4/6-31G* build (%zu screened "
               "quartets, %zu primitive quartets after pruning, ERI %.1f "
-              "CPU ms; median of %d):\n"
-              "%-9s %9s %11s %9s %10s %6s\n",
+              "CPU ms; batched calls as the build's windows make them; "
+              "median of %d):\n"
+              "%-9s %9s %11s %9s %10s %6s %11s\n",
               mix_quartets, mix_prims, mix_ms, kMixReps, "class", "quartets",
-              "prim_quarts", "cpu_ms", "ns/prim", "share");
+              "prim_quarts", "cpu_ms", "ns/prim", "share", "lanes/batch");
   for (const MixClass& c : mix) {
-    std::printf("%-9s %9zu %11zu %9.2f %10.1f %5.1f%%\n", c.name.c_str(),
-                c.quartets.size(), c.prim_quartets, c.cpu_ms,
-                c.prim_quartet_ns(), 100.0 * c.cpu_ms / mix_ms);
+    std::printf("%-9s %9zu %11zu %9.2f %10.1f %5.1f%% %11.1f\n",
+                c.name.c_str(), c.quartets, c.prim_quartets, c.cpu_ms,
+                c.prim_quartet_ns(), 100.0 * c.cpu_ms / mix_ms,
+                c.lanes_per_batch());
   }
 
   // The same system's SCF: how many quartets each incremental G build
@@ -500,8 +564,10 @@ int run_smoke(const std::string& json_path, double min_speedup,
     for (const MixClass& c : mix) {
       json.begin_object();
       json.field("class", c.name);
-      json.field("quartets", c.quartets.size());
+      json.field("quartets", c.quartets);
       json.field("prim_quartets", c.prim_quartets);
+      json.field("batches", c.batches);
+      json.field("lanes_per_batch", c.lanes_per_batch());
       json.field("cpu_ms", c.cpu_ms);
       json.field("prim_quartet_ns", c.prim_quartet_ns());
       json.end_object();

@@ -3,6 +3,7 @@
 // Boys function F_m(x) = \int_0^1 t^{2m} exp(-x t^2) dt, the radial
 // kernel of all Coulomb-type Gaussian integrals.
 
+#include <cstddef>
 #include <span>
 
 namespace emc::chem {
@@ -19,6 +20,15 @@ namespace emc::chem {
 /// series to 1e-13 relative for m <= 20. Orders beyond the table fall
 /// back to boys_reference.
 void boys(double x, std::span<double> out);
+
+/// boys() over n independent lanes at the compile-time order M: fills
+/// f[m * n + i] with F_m(x[i]) for m <= M, bitwise equal to boys(x[i],
+/// ...) with M + 1 outputs. The lanes on the asymptotic branch are split
+/// off without a branch and the table lanes run two at a time, so their
+/// latency chains overlap. Requires x[i] >= 0 (unchecked). Instantiated
+/// for M = 0..8, the ERI kernel's orders.
+template <int M>
+void boys_lanes(std::size_t n, const double* x, double* f);
 
 /// Single-order convenience wrapper.
 double boys(int m, double x);

@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <utility>
 
+#include "chem/boys.hpp"
 #include "chem/constants.hpp"
+#include "chem/hermite_r.hpp"
 #include "chem/integrals.hpp"
 
 namespace emc::chem {
@@ -22,18 +24,12 @@ namespace {
 /// 2 pi^{5/2}, the universal ERI prefactor numerator.
 constexpr double kTwoPiToFiveHalves = 34.986836655249725;
 
-/// Primitive quartets whose bound product (see PrimitivePairData::bound)
-/// falls below this are skipped. Chosen so that the summed omission error
-/// stays orders of magnitude below the 1e-12 accuracy the property tests
-/// demand and the 1e-10 Eh SCF reproducibility requirement.
-constexpr double kPrimQuartetPrune = 1e-17;
-
 /// One Hermite term E^{ab}_{tuv} = E^{ax bx}_t E^{ay by}_u E^{az bz}_v of a
 /// cartesian component pair (a, b).
 struct HermiteTerm {
   std::uint16_t ex, ey, ez;  ///< flat indices into the pair's E tables
-  std::uint16_t r;           ///< HermiteR::offset(t, u, v)
-  std::uint16_t col;         ///< W column of (t, u, v)
+  std::uint8_t t, u, v;      ///< the ket side's R offset is r_offset(t, u, v)
+  std::uint16_t col;         ///< the bra side's W column of (t, u, v)
   double sign;               ///< (-1)^{t+u+v}, the ket side's parity
 };
 
@@ -46,23 +42,24 @@ constexpr std::size_t hermite_count(int l) {
 constexpr std::size_t kMaxCols = hermite_count(2 * kMaxShellL);
 
 /// The W columns of a bra class of total angular momentum lab: column i
-/// holds R at HermiteR offset col_r[i], one per (t, u, v) with
+/// holds R at offset col_r[i] of a stride-S table, one per (t, u, v) with
 /// t+u+v <= lab, t-major. Entries past hermite_count(lab) are unused.
+template <std::size_t S>
 constexpr std::array<std::uint16_t, kMaxCols> make_col_r(int lab) {
   std::array<std::uint16_t, kMaxCols> col_r{};
   std::size_t i = 0;
   for (int t = 0; t <= lab; ++t) {
     for (int u = 0; t + u <= lab; ++u) {
       for (int v = 0; t + u + v <= lab; ++v) {
-        col_r[i++] = static_cast<std::uint16_t>(HermiteR::offset(t, u, v));
+        col_r[i++] = static_cast<std::uint16_t>(r_offset<S>(t, u, v));
       }
     }
   }
   return col_r;
 }
 
-template <int LAB>
-inline constexpr auto kColR = make_col_r(LAB);
+template <int LAB, std::size_t S>
+inline constexpr auto kColR = make_col_r<S>(LAB);
 
 /// The Hermite terms of every component pair of one shell-pair class
 /// (la, lb). Only index lists: the E values come from each primitive
@@ -75,9 +72,11 @@ struct PairClassTerms {
 PairClassTerms make_class_terms(int la, int lb) {
   PairClassTerms pc;
   const int lab = la + lb;
-  // The W column of each (t, u, v), by its R offset.
-  std::vector<int> col_of(HermiteR::offset(lab, lab, lab) + 1, -1);
-  const auto col_r = make_col_r(lab);
+  // The W column of each (t, u, v), by its offset in a table of any
+  // stride above lab.
+  constexpr std::size_t kS = 2 * kMaxShellL + 1;
+  std::vector<int> col_of(r_offset<kS>(lab, lab, lab) + 1, -1);
+  const auto col_r = make_col_r<kS>(lab);
   for (std::size_t i = 0; i < hermite_count(lab); ++i) {
     col_of[col_r[i]] = static_cast<int>(i);
   }
@@ -90,11 +89,11 @@ PairClassTerms make_class_terms(int la, int lb) {
       for (int t = 0; t <= a.lx + b.lx; ++t) {
         for (int u = 0; u <= a.ly + b.ly; ++u) {
           for (int v = 0; v <= a.lz + b.lz; ++v) {
-            const std::size_t r = HermiteR::offset(t, u, v);
             pc.terms.push_back(HermiteTerm{
                 e(a.lx, b.lx, t), e(a.ly, b.ly, u), e(a.lz, b.lz, v),
-                static_cast<std::uint16_t>(r),
-                static_cast<std::uint16_t>(col_of[r]),
+                static_cast<std::uint8_t>(t), static_cast<std::uint8_t>(u),
+                static_cast<std::uint8_t>(v),
+                static_cast<std::uint16_t>(col_of[r_offset<kS>(t, u, v)]),
                 (t + u + v) % 2 == 0 ? 1.0 : -1.0});
           }
         }
@@ -105,8 +104,9 @@ PairClassTerms make_class_terms(int la, int lb) {
   return pc;
 }
 
-/// Process-wide, immutable after its thread-safe first use.
-const PairClassTerms& class_terms(int la, int lb) {
+/// The term lists of every class (la, lb), at la * 3 + lb. Process-wide,
+/// immutable after its thread-safe first use.
+const std::array<PairClassTerms, 9>& class_terms() {
   static const std::array<PairClassTerms, 9> table = [] {
     std::array<PairClassTerms, 9> t;
     for (int a = 0; a <= kMaxShellL; ++a) {
@@ -116,71 +116,123 @@ const PairClassTerms& class_terms(int la, int lb) {
     }
     return t;
   }();
-  return table[static_cast<std::size_t>(la * 3 + lb)];
+  return table;
 }
 
-/// W capacity: 36 ket component pairs (d d) x the bra's columns.
-constexpr std::size_t kMaxW = 36 * kMaxCols;
+/// Most component pairs of a ket class of total momentum lcd: (pp) at 2,
+/// (pd) at 3, (dd) at 4.
+constexpr std::size_t max_ket_components(int lcd) {
+  auto cartesians = [](int l) { return (l + 1) * (l + 2) / 2; };
+  int m = 0;
+  for (int lc = 0; lc <= kMaxShellL; ++lc) {
+    const int ld = lcd - lc;
+    if (ld < 0 || ld > kMaxShellL) continue;
+    m = std::max(m, cartesians(lc) * cartesians(ld));
+  }
+  return static_cast<std::size_t>(m);
+}
 
-/// The kernel for bra total momentum LAB = la+lb and ket total LCD =
-/// lc+ld: the bra's W columns and their R offsets are compile-time
-/// constants, and so is the order of R.
+/// Stack bytes one kernel call may use for W and its lanes (boys_lanes
+/// adds 1 KiB in its own frame).
+constexpr std::size_t kKernelScratchBytes = 16 * 1024;
+/// Lanes of the low-order kernels, whose lanes are small, and the ket
+/// primitives screened at a time.
+constexpr std::size_t kMaxLanes = 64;
+/// A kernel call takes at most kEriWindowKets ket pairs; a lane's ket
+/// pair index fits the low kKetBits bits of its group.
+constexpr int kKetBits = 8;
+constexpr std::uint32_t kKetMask = (1u << kKetBits) - 1;
+static_assert(kEriWindowKets <= kKetMask + 1);
+
+/// The per-call scratch of the (LAB|LCD) kernel: W for one ket pair and
+/// the lanes of one batch, one array per quantity. A lane is one
+/// surviving primitive quartet; its R table has stride S = LAB+LCD+1,
+/// the smallest that holds the order. At order 0 the table is F_0 itself
+/// and is not kept.
 template <int LAB, int LCD>
-void eri_kernel(const ShellPairData& bra, const ShellPairData& ket,
-                double* out) {
-  constexpr std::size_t ncol = hermite_count(LAB);
-  constexpr const auto& col_r = kColR<LAB>;
-  const PairClassTerms& bt = class_terms(bra.la, bra.lb);
-  const PairClassTerms& kt = class_terms(ket.la, ket.lb);
+struct KernelScratch {
+  static constexpr int kOrder = LAB + LCD;
+  static constexpr std::size_t kNf = kOrder + 1;  ///< Boys values
+  static constexpr std::size_t kStride = kOrder + 1;
+  static constexpr std::size_t kNr =
+      kOrder == 0 ? 0 : kStride * kStride * kStride;
+  static constexpr std::size_t kNcol = hermite_count(LAB);
+  static constexpr std::size_t kNw = max_ket_components(LCD) * kNcol;
+  /// Six doubles (pq, alpha, x, pref) plus f and r, the E pointer and
+  /// the group.
+  static constexpr std::size_t kLaneBytes =
+      sizeof(double) * (6 + kNf + kNr) + sizeof(const double*) +
+      sizeof(std::uint32_t);
+  static constexpr std::size_t kLanes = std::min(
+      kMaxLanes, (kKernelScratchBytes - kNw * sizeof(double) -
+                  kMaxLanes * sizeof(std::uint32_t)) /
+                     kLaneBytes);
+  static_assert(kLanes >= 1);
+
+  std::array<double, kNw> w;
+  std::array<double, kLanes> pqx, pqy, pqz;
+  std::array<double, kLanes> alpha;  ///< p q / (p + q)
+  std::array<double, kLanes> x;      ///< Boys argument alpha |PQ|^2
+  std::array<double, kLanes> pref;   ///< 2 pi^{5/2} c_cd / (q sqrt(p+q))
+  std::array<double, kLanes * kNf> f;  ///< F_m of lane i at m * n + i
+  std::array<double, kLanes * kNr> r;
+  std::array<const double*, kLanes> e;  ///< the ket primitive's E tables
+  std::array<std::uint32_t, kLanes> group;  ///< (bra primitive, ket pair)
+  std::array<std::uint32_t, kMaxLanes> live;  ///< unpruned ket primitives
+};
+
+/// The kernel for bra total momentum LAB = la+lb over ket pairs of total
+/// lc+ld = LCD. The surviving primitive quartets are gathered into lanes
+/// in the scalar kernel's order (bra primitive, ket pair, ket
+/// primitive), and each batch of lanes runs the Boys evaluation, the R
+/// setup and the W update as separate loops. A lane's work is the
+/// scalar kernel's, in the same order: the W of a (bra primitive, ket
+/// pair) group is zeroed at its first lane, accumulates its lanes in
+/// primitive order, and is contracted into the ket pair's block after
+/// its last, so every block's bits are those of a one-ket call.
+template <int LAB, int LCD>
+void eri_kernel(const ShellPairData& bra, std::span<const EriKet> kets) {
+  using Scratch = KernelScratch<LAB, LCD>;
+  static_assert(sizeof(Scratch) <= kKernelScratchBytes);
+  constexpr int kL = LAB + LCD;
+  constexpr std::size_t kS = Scratch::kStride;
+  constexpr std::size_t ncol = Scratch::kNcol;
+  constexpr std::size_t lanes = Scratch::kLanes;
+  constexpr const auto& col_r = kColR<LAB, kS>;
+  const auto& class_terms_of = class_terms();
+  auto terms_of = [&class_terms_of](const ShellPairData& pair) {
+    return &class_terms_of[static_cast<std::size_t>(pair.la * 3 + pair.lb)];
+  };
+  const PairClassTerms& bt = *terms_of(bra);
   const std::size_t nab = bt.first.size() - 1;
-  const std::size_t ncd = kt.first.size() - 1;
-  std::fill(out, out + nab * ncd, 0.0);
-
   const std::size_t bra_ne = bra.e_size();
-  const std::size_t ket_ne = ket.e_size();
+  auto ket_size = [](const ShellPairData& ket) {
+    return static_cast<std::size_t>(ket.na() * ket.nb());
+  };
+  for (const EriKet& k : kets) {
+    std::fill(k.out, k.out + nab * ket_size(*k.pair), 0.0);
+  }
 
-  HermiteR rtuv(LAB + LCD);
-  std::array<double, kMaxW> w;
-  for (std::size_t ib = 0; ib < bra.prims.size(); ++ib) {
+  Scratch s;
+  // A lane's group is its (bra primitive ib, ket pair k), packed as
+  // ib << kKetBits | k. Lanes run in (ib, k, ket primitive) order, the
+  // scalar kernel's, and a batch may span bra primitives.
+  const auto nkets = static_cast<std::uint32_t>(kets.size());
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  // The group whose W is accumulating, and its ket pair's shape.
+  std::uint32_t open = kNone;
+  const PairClassTerms* kt = nullptr;
+  std::size_t ncd = 0, ket_ne = 0;
+
+  // (ab|cd) += E^ab_{tuv} W[cd][tuv] for the open group, once per bra
+  // component pair.
+  auto contract = [&] {
+    const std::size_t ib = open >> kKetBits;
     const PrimitivePairData& bp = bra.prims[ib];
-    bool any = false;
-    for (std::size_t ik = 0; ik < ket.prims.size(); ++ik) {
-      const PrimitivePairData& kp = ket.prims[ik];
-      if (bp.bound * kp.bound < kPrimQuartetPrune) continue;
-      if (!any) std::fill(w.begin(), w.begin() + ncd * ncol, 0.0);
-      any = true;
-      const double p = bp.p;
-      const double q = kp.p;
-      const Vec3 pq{bp.center[0] - kp.center[0],
-                    bp.center[1] - kp.center[1],
-                    bp.center[2] - kp.center[2]};
-      rtuv.recompute(p * q / (p + q), pq);
-      const double pref =
-          kTwoPiToFiveHalves * kp.coeff_over_p / std::sqrt(p + q);
-      const double* ex = ket.prim_e(ik);
-      const double* ey = ex + ket_ne;
-      const double* ez = ey + ket_ne;
-      // W[cd][col] += sign E^cd_{tau nu phi} R(t+tau, u+nu, v+phi): the
-      // ket term's R offset plus each bra column's offset.
-      for (std::size_t cd = 0; cd < ncd; ++cd) {
-        double* wcd = w.data() + cd * ncol;
-        for (std::uint32_t i = kt.first[cd]; i < kt.first[cd + 1]; ++i) {
-          const HermiteTerm& term = kt.terms[i];
-          const double c =
-              pref * term.sign * ex[term.ex] * ey[term.ey] * ez[term.ez];
-          if (c == 0.0) continue;
-          const double* r = rtuv.data() + term.r;
-          for (std::size_t col = 0; col < ncol; ++col) {
-            wcd[col] += c * r[col_r[col]];
-          }
-        }
-      }
-    }
-    if (!any) continue;
-    // (ab|cd) += E^ab_{tuv} W[cd][tuv], once per bra component pair.
     const double* ex = bra.prim_e(ib);
     const double* ey = ex + bra_ne;
     const double* ez = ey + bra_ne;
+    double* out = kets[open & kKetMask].out;
     for (std::size_t ab = 0; ab < nab; ++ab) {
       double* o = out + ab * ncd;
       for (std::uint32_t i = bt.first[ab]; i < bt.first[ab + 1]; ++i) {
@@ -188,28 +240,136 @@ void eri_kernel(const ShellPairData& bra, const ShellPairData& ket,
         const double e =
             bp.coeff_over_p * ex[term.ex] * ey[term.ey] * ez[term.ez];
         if (e == 0.0) continue;
-        const double* wc = w.data() + term.col;
+        const double* wc = s.w.data() + term.col;
         for (std::size_t cd = 0; cd < ncd; ++cd) o[cd] += e * wc[cd * ncol];
       }
     }
+  };
+
+  auto run = [&](std::size_t n) {
+    boys_lanes<kL>(n, s.x.data(), s.f.data());
+    if constexpr (kL > 0) {
+      for (std::size_t i = 0; i < n; ++i) {
+        std::array<double, kL + 1> f;
+        for (std::size_t m = 0; m <= kL; ++m) f[m] = s.f[m * n + i];
+        hermite_r_fill<kL, kS>(s.r.data() + i * Scratch::kNr, s.alpha[i],
+                               Vec3{s.pqx[i], s.pqy[i], s.pqz[i]}, f.data());
+      }
+    }
+    // The lanes of one group are consecutive; the first lane of the next
+    // group closes the previous one.
+    for (std::size_t i = 0; i < n;) {
+      if (s.group[i] != open) {
+        if (open != kNone) contract();
+        open = s.group[i];
+        const ShellPairData& ket = *kets[open & kKetMask].pair;
+        kt = terms_of(ket);
+        ncd = ket_size(ket);
+        ket_ne = ket.e_size();
+        std::fill(s.w.begin(), s.w.begin() + ncd * ncol, 0.0);
+      }
+      const std::size_t begin = i;
+      while (i < n && s.group[i] == open) ++i;
+      // W[cd][col] += sign E^cd_{tau nu phi} R(t+tau, u+nu, v+phi): the
+      // ket term's R offset plus each bra column's offset. Each W entry
+      // takes its lanes' terms in lane order, then term order, as in the
+      // scalar kernel; the running sums stay in registers.
+      for (std::size_t cd = 0; cd < ncd; ++cd) {
+        std::array<double, ncol> acc;
+        std::copy_n(s.w.data() + cd * ncol, ncol, acc.data());
+        const HermiteTerm* term_begin = kt->terms.data() + kt->first[cd];
+        const HermiteTerm* term_end = kt->terms.data() + kt->first[cd + 1];
+        for (std::size_t l = begin; l < i; ++l) {
+          const double pref = s.pref[l];
+          // At order 0, R_000 = (-2 alpha)^0 F_0 = F_0.
+          const double* r =
+              kL == 0 ? s.f.data() + l : s.r.data() + l * Scratch::kNr;
+          const double* ex = s.e[l];
+          const double* ey = ex + ket_ne;
+          const double* ez = ey + ket_ne;
+          for (const HermiteTerm* term = term_begin; term != term_end;
+               ++term) {
+            const double c = pref * term->sign * ex[term->ex] *
+                             ey[term->ey] * ez[term->ez];
+            if (c == 0.0) continue;
+            const double* rt = r + r_offset<kS>(term->t, term->u, term->v);
+            for (std::size_t col = 0; col < ncol; ++col) {
+              acc[col] += c * rt[col_r[col]];
+            }
+          }
+        }
+        std::copy_n(acc.data(), ncol, s.w.data() + cd * ncol);
+      }
+    }
+  };
+
+  std::size_t n = 0;
+  for (std::size_t ib = 0; ib < bra.prims.size(); ++ib) {
+    const PrimitivePairData& bp = bra.prims[ib];
+    for (std::uint32_t k = 0; k < nkets; ++k) {
+      const ShellPairData& ket = *kets[k].pair;
+      const std::size_t e_stride = 3 * ket.e_size();
+      // The ket primitives that survive the pruning, listed kMaxLanes
+      // candidates at a time without a branch on the bound.
+      for (std::size_t i0 = 0; i0 < ket.prims.size(); i0 += kMaxLanes) {
+        const std::size_t i1 = std::min(ket.prims.size(), i0 + kMaxLanes);
+        std::size_t nlive = 0;
+        for (std::size_t ik = i0; ik < i1; ++ik) {
+          s.live[nlive] = static_cast<std::uint32_t>(ik);
+          nlive +=
+              bp.bound * ket.prims[ik].bound >= kPrimQuartetPrune ? 1 : 0;
+        }
+        for (std::size_t jl = 0; jl < nlive; ++jl) {
+          const std::size_t ik = s.live[jl];
+          const PrimitivePairData& kp = ket.prims[ik];
+          const double p = bp.p;
+          const double q = kp.p;
+          const Vec3 pq{bp.center[0] - kp.center[0],
+                        bp.center[1] - kp.center[1],
+                        bp.center[2] - kp.center[2]};
+          const double alpha = p * q / (p + q);
+          s.x[n] = alpha * (pq[0] * pq[0] + pq[1] * pq[1] + pq[2] * pq[2]);
+          s.pref[n] =
+              kTwoPiToFiveHalves * kp.coeff_over_p / std::sqrt(p + q);
+          if constexpr (kL > 0) {
+            s.alpha[n] = alpha;
+            s.pqx[n] = pq[0];
+            s.pqy[n] = pq[1];
+            s.pqz[n] = pq[2];
+          }
+          s.e[n] = ket.hermite_e.data() + ik * e_stride;
+          s.group[n] = static_cast<std::uint32_t>(ib) << kKetBits | k;
+          if (++n == lanes) {
+            run(n);
+            n = 0;
+          }
+        }
+      }
+    }
   }
+  run(n);
+  if (open != kNone) contract();
 
   // Per-component contracted normalization.
-  const std::size_t nc = ket.norm_a.size(), nd = ket.norm_b.size();
-  for (std::size_t ia = 0; ia < bra.norm_a.size(); ++ia) {
-    for (std::size_t ib = 0; ib < bra.norm_b.size(); ++ib) {
-      const double nab_norm = bra.norm_a[ia] * bra.norm_b[ib];
-      double* o = out + (ia * bra.norm_b.size() + ib) * ncd;
-      for (std::size_t ic = 0; ic < nc; ++ic) {
-        for (std::size_t id = 0; id < nd; ++id) {
-          o[ic * nd + id] *= nab_norm * ket.norm_a[ic] * ket.norm_b[id];
+  for (const EriKet& k : kets) {
+    const ShellPairData& ket = *k.pair;
+    const std::size_t ncd = ket_size(ket);
+    const std::size_t nc = ket.norm_a.size(), nd = ket.norm_b.size();
+    for (std::size_t ia = 0; ia < bra.norm_a.size(); ++ia) {
+      for (std::size_t ib = 0; ib < bra.norm_b.size(); ++ib) {
+        const double nab_norm = bra.norm_a[ia] * bra.norm_b[ib];
+        double* o = k.out + (ia * bra.norm_b.size() + ib) * ncd;
+        for (std::size_t ic = 0; ic < nc; ++ic) {
+          for (std::size_t id = 0; id < nd; ++id) {
+            o[ic * nd + id] *= nab_norm * ket.norm_a[ic] * ket.norm_b[id];
+          }
         }
       }
     }
   }
 }
 
-using Kernel = void (*)(const ShellPairData&, const ShellPairData&, double*);
+using Kernel = void (*)(const ShellPairData&, std::span<const EriKet>);
 
 /// Total momenta 0..4 per side: one kernel per (la+lb, lc+ld).
 constexpr int kTotals = 2 * kMaxShellL + 1;
@@ -224,12 +384,53 @@ constexpr std::array<Kernel, sizeof...(I)> make_kernels(
 constexpr auto kKernels =
     make_kernels(std::make_index_sequence<kTotals * kTotals>{});
 
+template <std::size_t... I>
+constexpr std::array<std::size_t, sizeof...(I)> make_lane_capacities(
+    std::index_sequence<I...>) {
+  return {KernelScratch<static_cast<int>(I) / kTotals,
+                        static_cast<int>(I) % kTotals>::kLanes...};
+}
+
+constexpr auto kLaneCapacities =
+    make_lane_capacities(std::make_index_sequence<kTotals * kTotals>{});
+
+std::size_t kernel_index(int lab, int lcd) {
+  return static_cast<std::size_t>(lab * kTotals + lcd);
+}
+
 }  // namespace
+
+void eri_shell_quartets(const ShellPairData& bra,
+                        std::span<const EriKet> kets) {
+  unsigned classes = 0;
+  for (const EriKet& k : kets) classes |= 1u << (k.pair->la + k.pair->lb);
+  // Each ket class present runs through its kernel, up to
+  // kEriWindowKets ket pairs at a time, in span order.
+  std::array<EriKet, kEriWindowKets> group;
+  for (int lcd = 0; lcd < kTotals; ++lcd) {
+    if (((classes >> lcd) & 1u) == 0) continue;
+    const Kernel kernel = kKernels[kernel_index(bra.la + bra.lb, lcd)];
+    std::size_t n = 0;
+    for (const EriKet& k : kets) {
+      if (k.pair->la + k.pair->lb != lcd) continue;
+      group[n++] = k;
+      if (n == group.size()) {
+        kernel(bra, {group.data(), n});
+        n = 0;
+      }
+    }
+    if (n > 0) kernel(bra, {group.data(), n});
+  }
+}
 
 void eri_shell_quartet(const ShellPairData& bra, const ShellPairData& ket,
                        double* out) {
-  kKernels[static_cast<std::size_t>((bra.la + bra.lb) * kTotals + ket.la +
-                                    ket.lb)](bra, ket, out);
+  const EriKet one{&ket, out};
+  kKernels[kernel_index(bra.la + bra.lb, ket.la + ket.lb)](bra, {&one, 1});
+}
+
+std::size_t eri_lane_capacity(int lab, int lcd) {
+  return kLaneCapacities[kernel_index(lab, lcd)];
 }
 
 std::size_t surviving_prim_quartets(const ShellPairData& bra,

@@ -21,16 +21,21 @@
 // per process; R and W live in fixed-size stack buffers, so evaluating a
 // quartet into a caller's buffer allocates nothing. The kernel is
 // instantiated once per (la+lb, lc+ld), 25 instances: in each, the bra's
-// W columns (every (t, u, v) with t+u+v <= la+lb) and their R offsets
-// are compile-time constants, so the W update is a fixed-length loop
-// with immediate offsets, and the R table's order is fixed. The
-// specialization changes no arithmetic: the blocks' bits are pinned by
-// FNV-1a digests in test_chem_eri_pairs. The seed kernel that
+// W columns (every (t, u, v) with t+u+v <= la+lb), their R offsets and
+// the Boys/R order are compile-time constants. It is batched over a span
+// of ket pairs: per bra primitive pair, the surviving primitive quartets
+// of all its ket pairs become lanes, and each batch of lanes runs the
+// Boys evaluation, the R recursion and the W update as loops over
+// lanes, so the lanes' latency chains overlap. A lane does the same
+// operations in the same order as a quartet evaluated alone: the blocks'
+// bits are pinned by FNV-1a digests in test_chem_eri_pairs, for single
+// quartets and for windows alike. The seed kernel that
 // rebuilt everything per call and ran the six-deep Hermite sum per
 // component quadruple is kept as eri_shell_quartet_direct — the
 // reference/benchmark baseline.
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "chem/basis.hpp"
@@ -82,13 +87,52 @@ class EriBlock {
 /// Doubles in the largest quartet block, (dd|dd): 6^4.
 inline constexpr std::size_t kMaxQuartetSize = 1296;
 
-/// Computes the contracted, normalized quartet (ab|cd) of two cached
-/// shell pairs into `out` — the fast path every production caller uses.
-/// `out` must hold bra.na()*bra.nb()*ket.na()*ket.nb() doubles (at most
-/// kMaxQuartetSize); they are written in EriBlock's (a, b, c, d)
-/// row-major order. Allocates nothing.
+/// Primitive quartets whose bound product (see PrimitivePairData::bound)
+/// falls below this are skipped. Chosen so that the summed omission error
+/// stays orders of magnitude below the 1e-12 accuracy the property tests
+/// demand and the 1e-10 Eh SCF reproducibility requirement.
+inline constexpr double kPrimQuartetPrune = 1e-17;
+
+/// One ket pair of a batched call and the block it fills: `out` must
+/// hold bra.na()*bra.nb()*pair->na()*pair->nb() doubles (at most
+/// kMaxQuartetSize), written in EriBlock's (a, b, c, d) row-major order.
+struct EriKet {
+  const ShellPairData* pair;
+  double* out;
+};
+
+/// Computes the contracted, normalized quartets (bra|kets[i]) into
+/// kets[i].out — the batched entry a Fock build's tasks run. Ket pairs
+/// of any class may be mixed: the pairs of each ket class lc+ld run
+/// through that class's kernel, kEriWindowKets at a time, whose
+/// primitive quartets run in lanes. Every block is
+/// bitwise equal to eri_shell_quartet(bra, *kets[i].pair, ...), whatever
+/// else the span holds. Allocates nothing.
+void eri_shell_quartets(const ShellPairData& bra,
+                        std::span<const EriKet> kets);
+
+/// Computes one quartet (ab|cd) of two cached shell pairs into `out`
+/// (sized and laid out as EriKet::out): the batched kernel over a single
+/// ket pair. Allocates nothing.
 void eri_shell_quartet(const ShellPairData& bra, const ShellPairData& ket,
                        double* out);
+
+/// A Fock-build task evaluates its screened ket pairs in windows: ket
+/// pairs in loop order whose blocks share one kMaxQuartetSize-double
+/// buffer, at most kEriWindowKets of them. True when a window holding
+/// `kets` pairs and `doubles` output doubles must close before a block
+/// of `block` doubles joins it; a block that fills the buffer on its own
+/// is a window of one.
+inline constexpr std::size_t kEriWindowKets = 64;
+constexpr bool eri_window_full(std::size_t kets, std::size_t doubles,
+                               std::size_t block) {
+  return kets == kEriWindowKets || doubles + block > kMaxQuartetSize;
+}
+
+/// Primitive quartets one batch of the (lab|lcd) kernel holds: the
+/// lanes whose Boys values and R tables are live at once. Fewer for
+/// high orders, whose R tables are larger.
+std::size_t eri_lane_capacity(int lab, int lcd);
 
 /// Primitive quartets of (bra|ket) that eri_shell_quartet evaluates: the
 /// pairs of bra and ket primitive pairs whose bound product survives

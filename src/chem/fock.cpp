@@ -227,15 +227,33 @@ std::uint64_t FockBuilder::digest_task(const ShellPairTask& task,
                                        linalg::Matrix& j_accum,
                                        linalg::Matrix& k_accum) const {
   const ShellPairData& bra = pairs_.pair(task.si, task.sj);
-  std::array<double, kMaxQuartetSize> block;
+  const auto bra_size = static_cast<std::size_t>(bra.na() * bra.nb());
+  // The surviving ket pairs in loop order, evaluated a window at a time
+  // and then digested in that order, so J and K keep their bits.
+  std::array<double, kMaxQuartetSize> blocks;
+  std::array<EriKet, kEriWindowKets> window;
+  static_assert(sizeof(blocks) + sizeof(window) <= 16 * 1024);
+  std::size_t kets = 0, used = 0;
+  auto flush = [&] {
+    eri_shell_quartets(bra, {window.data(), kets});
+    for (std::size_t w = 0; w < kets; ++w) {
+      // Only the last ket pair of a task, (si, sj) itself, is the bra.
+      digest_quartet(bra, *window[w].pair, window[w].pair == &bra,
+                     window[w].out, density, j_accum, k_accum);
+    }
+    kets = used = 0;
+  };
   std::uint64_t quartets = 0;
   for_each_ket_pair(task, block_max, [&](int k, int l) {
     const ShellPairData& ket = pairs_.pair(k, l);
-    eri_shell_quartet(bra, ket, block.data());
-    digest_quartet(bra, ket, pair_rank(k, l) == task.rank, block.data(),
-                   density, j_accum, k_accum);
+    const std::size_t size =
+        bra_size * static_cast<std::size_t>(ket.na() * ket.nb());
+    if (eri_window_full(kets, used, size)) flush();
+    window[kets++] = EriKet{&ket, blocks.data() + used};
+    used += size;
     ++quartets;
   });
+  if (kets > 0) flush();
   return quartets;
 }
 

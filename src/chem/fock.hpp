@@ -47,8 +47,8 @@ void require_symmetric_density(const linalg::Matrix& density);
 /// THREAD SAFETY: a FockBuilder is immutable after construction (pair
 /// cache + Schwarz matrix are materialized in the constructor) and its
 /// const methods are stateless per call — execute_task/build_g use only
-/// function-local scratch (the HermiteR table, the kernel's W
-/// intermediate and the quartet block live on the stack of each call)
+/// function-local scratch (the task's window of quartet blocks, the
+/// kernel's lanes and W intermediate live on the stack of each call)
 /// and the Boys table and Hermite term lists behind them are thread-safe
 /// function-local statics. Any number of threads may therefore run
 /// builds off ONE shared builder concurrently, each against its own

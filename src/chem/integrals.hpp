@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "chem/basis.hpp"
+#include "chem/hermite_r.hpp"
 #include "chem/molecule.hpp"
 #include "linalg/matrix.hpp"
 
@@ -58,20 +59,18 @@ class HermiteE {
 /// offset(tau, nu, phi): a quartet kernel can add a ket term's offset to
 /// a bra term's. Only the entries with t+u+v <= order are defined.
 ///
-/// recompute dispatches on the order to a fill whose recursion is
-/// unrolled at compile time into straight-line code (one instance per
-/// order 0..8). The ERI kernel and the nuclear-attraction integrals
-/// share it; the seed ERI kernel uses it with `reference_boys`.
+/// recompute dispatches on the order to hermite_r_fill (hermite_r.hpp),
+/// the recursion unrolled at compile time into straight-line code (one
+/// instance per order 0..8), which the ERI kernel also runs per primitive
+/// quartet. The nuclear-attraction integrals use HermiteR; the seed ERI
+/// kernel uses it with `reference_boys`.
 class HermiteR {
  public:
   static constexpr int kMaxOrder = 8;
   static constexpr int kStride = kMaxOrder + 1;
 
   static constexpr std::size_t offset(int t, int u, int v) {
-    return (static_cast<std::size_t>(t) * kStride +
-            static_cast<std::size_t>(u)) *
-               kStride +
-           static_cast<std::size_t>(v);
+    return r_offset<kStride>(t, u, v);
   }
 
   /// Fixes the order without computing anything; call `recompute` before

@@ -82,20 +82,14 @@ ScfServer::Submission ScfServer::submit(const JobRequest& request) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++counts_.submitted;
-    if (stopping_ || stopped_) {
-      ++counts_.rejected;
+    if (stopping_ || stopped_ ||
+        (queue_.size() >= options_.queue_capacity &&
+         options_.overload == ServerOptions::Overload::kReject)) {
+      count_rejected(1);
       out.result = failed_result("rejected");
       return out;
     }
     if (queue_.size() >= options_.queue_capacity) {
-      if (options_.overload == ServerOptions::Overload::kReject) {
-        ++counts_.rejected;
-        if (options_.metrics != nullptr) {
-          options_.metrics->counter("serve/rejected").add();
-        }
-        out.result = failed_result("rejected");
-        return out;
-      }
       // kShed: one job is shed either way. The victim is the worst
       // queued job — lowest priority, then youngest (map rbegin). The
       // new arrival must STRICTLY outrank it to displace it; otherwise
@@ -237,6 +231,13 @@ JobResult ScfServer::execute(Pending& job) {
   return result;
 }
 
+void ScfServer::count_rejected(std::int64_t jobs) {
+  counts_.rejected += jobs;
+  if (options_.metrics != nullptr && jobs > 0) {
+    options_.metrics->counter("serve/rejected").add(jobs);
+  }
+}
+
 void ScfServer::observe(const JobRequest& request, const JobResult& result) {
   if (options_.metrics == nullptr) return;
   const std::string prefix = "serve/t" + std::to_string(request.tenant);
@@ -263,6 +264,7 @@ void ScfServer::stop() {
     if (!started_) {
       // Never started: fail any queued futures so callers don't hang.
       stopping_ = stopped_ = true;
+      count_rejected(static_cast<std::int64_t>(queue_.size()));
       for (auto& [key, pending] : queue_) {
         JobResult r;
         r.job_id = pending->job_id;

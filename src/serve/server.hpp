@@ -176,6 +176,9 @@ class ScfServer {
   void worker_loop(int thread_id);
   JobResult execute(Pending& job);
   void observe(const JobRequest& request, const JobResult& result);
+  /// Counts `jobs` rejections in Counts::rejected and the serve/rejected
+  /// metric. Caller holds mutex_.
+  void count_rejected(std::int64_t jobs);
 
   ServerOptions options_;
   std::unique_ptr<FockCache> cache_;

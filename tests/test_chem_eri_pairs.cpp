@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "chem/basis.hpp"
@@ -96,7 +97,7 @@ Vec3 random_center(emc::Rng& rng) {
 }
 
 /// The cached kernel skips primitive quartets whose bound product is
-/// below 1e-17 (kPrimQuartetPrune in eri.cpp). That is an absolute
+/// below kPrimQuartetPrune (1e-17). That is an absolute
 /// error, so a block far below unit size cannot meet a purely relative
 /// tolerance; this floor covers the skipped terms of one quartet.
 constexpr double kPruneFloor = 1e-15;
@@ -286,6 +287,182 @@ TEST(ShellPairEriTest, PinnedDigestOfWater2CanonicalBlocks) {
   }
   EXPECT_EQ(quartets, 22155u);
   EXPECT_EQ(h, 0xdcbcbb2772a9eabaULL) << "digest=0x" << std::hex << h;
+
+  // The same blocks through the batched entry, each bra's ket pairs
+  // grouped into windows as a Fock-build task groups them.
+  std::array<double, kMaxQuartetSize> buffer;
+  std::array<EriKet, kEriWindowKets> window;
+  std::uint64_t hb = 0xcbf29ce484222325ULL;
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j <= i; ++j) {
+      const ShellPairData& bra = pairs.pair(i, j);
+      const auto bra_size = static_cast<std::size_t>(bra.na() * bra.nb());
+      std::size_t kets = 0, used = 0;
+      auto flush = [&] {
+        eri_shell_quartets(bra, {window.data(), kets});
+        hb = fnv1a(buffer.data(), used, hb);
+        kets = used = 0;
+      };
+      for (int k = 0; k <= i; ++k) {
+        for (int l = 0; l <= (k == i ? j : k); ++l) {
+          const ShellPairData& ket = pairs.pair(k, l);
+          const std::size_t size =
+              bra_size * static_cast<std::size_t>(ket.na() * ket.nb());
+          if (eri_window_full(kets, used, size)) flush();
+          window[kets++] = EriKet{&ket, buffer.data() + used};
+          used += size;
+        }
+      }
+      flush();
+    }
+  }
+  EXPECT_EQ(hb, 0xdcbcbb2772a9eabaULL) << "digest=0x" << std::hex << hb;
+}
+
+/// A shell of angular momentum `l` at `center` with the given
+/// exponents.
+Shell shell_with(emc::Rng& rng, int l, const Vec3& center,
+                 const std::vector<double>& exponents) {
+  Shell s;
+  s.l = l;
+  s.center = center;
+  for (const double a : exponents) {
+    const double c =
+        rng.uniform(0.2, 1.2) * (rng.uniform() < 0.5 ? -1.0 : 1.0);
+    s.exponents.push_back(a);
+    s.coefficients.push_back(c * primitive_norm(a, l, 0, 0));
+  }
+  return s;
+}
+
+/// Boys argument alpha |PQ|^2 of a primitive quartet.
+double boys_argument(const PrimitivePairData& bp,
+                     const PrimitivePairData& kp) {
+  double r2 = 0.0;
+  for (std::size_t c = 0; c < 3; ++c) {
+    r2 += (bp.center[c] - kp.center[c]) * (bp.center[c] - kp.center[c]);
+  }
+  return bp.p * kp.p / (bp.p + kp.p) * r2;
+}
+
+/// The pruning floor of the windows below. Their bras pair a tight
+/// primitive with p and d functions, where the s-type bound product
+/// understates a skipped primitive quartet: a near-zero block can miss
+/// a few 1e-14 (seen on (pp|ds) at max |block| 2e-14). The single-quartet
+/// kernel skips the same terms; the bitwise check below ties the two.
+constexpr double kWindowPruneFloor = 1e-13;
+
+TEST(BatchedEriTest, RandomWindowsMatchDirectAndSingleQuartetsBitwise) {
+  // Windows of 1-40 ket pairs of mixed class and contraction depth
+  // against one bra. Window t has bra class t % 9 and its ket j class
+  // (j + t) % 9, so every class up to (dd|dd) occurs. Each window holds
+  // an anchor ket pair, 3 bohr from the bra's common center and 3 bohr
+  // long, whose primitive quartets are pruned (tight x tight), survive
+  // with x < 35 (diffuse) and survive with x >= 35 (tight x diffuse
+  // against the bra's tight primitive): the Boys table's edge, past
+  // which a lane must take the asymptotic branch.
+  emc::Rng rng(20261019);
+  auto random_exponents = [&](int n) {
+    std::vector<double> e;
+    for (int i = 0; i < n; ++i) {
+      e.push_back(std::exp(rng.uniform(std::log(0.1), std::log(60.0))));
+    }
+    return e;
+  };
+  int classes_seen = 0;
+  std::array<bool, 81> seen{};
+  for (int t = 0; t < 45; ++t) {
+    const int la = t % 9 / 3, lb = t % 3;
+    const Vec3 bra_center = random_center(rng);
+    std::vector<double> tight = random_exponents(
+        static_cast<int>(rng.range(0, 2)));
+    tight.push_back(30.0);
+    const Shell bra_a = shell_with(rng, la, bra_center, tight);
+    const Shell bra_b = shell_with(
+        rng, lb, bra_center,
+        random_exponents(static_cast<int>(rng.range(1, 3))));
+    const ShellPairData bra = make_shell_pair(bra_a, bra_b);
+
+    const std::size_t size = 1 + static_cast<std::size_t>(t * 7 % 40);
+    const std::size_t anchor =
+        static_cast<std::size_t>(rng.range(0, static_cast<std::int64_t>(size) - 1));
+    std::vector<Shell> shells;  // two per ket pair
+    std::vector<ShellPairData> kets;
+    for (std::size_t j = 0; j < size; ++j) {
+      const int c = static_cast<int>((j + static_cast<std::size_t>(t)) % 9);
+      const int lc = c / 3, ld = c % 3;
+      if (j == anchor) {
+        const Vec3 q0{bra_center[0] + 3.0, bra_center[1], bra_center[2]};
+        const Vec3 q1{q0[0], q0[1] + 3.0, q0[2]};
+        shells.push_back(shell_with(rng, lc, q0, {20.0, 0.15}));
+        shells.push_back(shell_with(rng, ld, q1, {20.0, 0.15}));
+      } else {
+        auto shell = [&](int l) {
+          return shell_at(rng, l, random_center(rng),
+                          static_cast<int>(rng.range(1, 3)), 0.1, 60.0);
+        };
+        shells.push_back(shell(lc));
+        shells.push_back(shell(ld));
+      }
+      kets.push_back(make_shell_pair(shells[2 * j], shells[2 * j + 1]));
+      if (!seen[static_cast<std::size_t>(t % 9 * 9 + c)]) {
+        seen[static_cast<std::size_t>(t % 9 * 9 + c)] = true;
+        ++classes_seen;
+      }
+    }
+
+    // The window's lanes cover both sides of the edge and the pruning.
+    std::size_t pruned = 0, below = 0, above = 0;
+    for (const ShellPairData& ket : kets) {
+      pruned += bra.prims.size() * ket.prims.size() -
+                surviving_prim_quartets(bra, ket);
+    }
+    for (const PrimitivePairData& bp : bra.prims) {
+      for (const PrimitivePairData& kp : kets[anchor].prims) {
+        if (bp.bound * kp.bound < kPrimQuartetPrune) continue;
+        (boys_argument(bp, kp) < 35.0 ? below : above) += 1;
+      }
+    }
+    ASSERT_GT(pruned, 0u) << "window " << t;
+    ASSERT_GT(below, 0u) << "window " << t;
+    ASSERT_GT(above, 0u) << "window " << t;
+
+    std::vector<std::vector<double>> blocks(kets.size());
+    std::vector<EriKet> window;
+    for (std::size_t j = 0; j < kets.size(); ++j) {
+      blocks[j].resize(static_cast<std::size_t>(bra.na() * bra.nb() *
+                                                kets[j].na() * kets[j].nb()));
+      window.push_back(EriKet{&kets[j], blocks[j].data()});
+    }
+    eri_shell_quartets(bra, window);
+    std::array<double, kMaxQuartetSize> single;
+    for (std::size_t j = 0; j < kets.size(); ++j) {
+      const EriBlock direct = eri_shell_quartet_direct(
+          bra_a, bra_b, shells[2 * j], shells[2 * j + 1]);
+      double diff = 0.0;
+      std::size_t at = 0;
+      for (int a = 0; a < direct.na(); ++a) {
+        for (int b = 0; b < direct.nb(); ++b) {
+          for (int c = 0; c < direct.nc(); ++c) {
+            for (int d = 0; d < direct.nd(); ++d) {
+              diff = std::max(diff,
+                              std::abs(direct(a, b, c, d) - blocks[j][at++]));
+            }
+          }
+        }
+      }
+      EXPECT_LE(diff, 1e-13 * direct.max_abs() + kWindowPruneFloor)
+          << "window " << t << " ket " << j << (j == anchor ? " (anchor)" : "")
+          << " class (" << la << lb << "|"
+          << kets[j].la << kets[j].lb << ")";
+      // Position independence: the same quartet as a window of one.
+      eri_shell_quartet(bra, kets[j], single.data());
+      EXPECT_EQ(fnv1a(single.data(), blocks[j].size()),
+                fnv1a(blocks[j].data(), blocks[j].size()))
+          << "window " << t << " ket " << j;
+    }
+  }
+  EXPECT_EQ(classes_seen, 81);
 }
 
 /// Seeded (p, PC) inputs for HermiteR: x = p |PC|^2 = 0, just below the
@@ -421,6 +598,31 @@ TEST(BoysTableTest, OffGridPointsAndHighOrderFallback) {
       EXPECT_NEAR(fast[m], ref[m], 1e-13) << "x=" << x << " m=" << m;
     }
   }
+}
+
+template <int M>
+void expect_lanes_match_boys(const std::vector<double>& x) {
+  std::vector<double> f((M + 1) * x.size()), one(M + 1);
+  boys_lanes<M>(x.size(), x.data(), f.data());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    boys(x[i], one);
+    for (std::size_t m = 0; m <= M; ++m) {
+      const double lane = f[m * x.size() + i];
+      EXPECT_EQ(fnv1a(&lane, 1), fnv1a(&one[m], 1))
+          << "M=" << M << " x=" << x[i] << " m=" << m;
+    }
+  }
+}
+
+TEST(BoysTableTest, LanesMatchScalarBitwise) {
+  // Lanes on both sides of the table's x = 35 edge, interleaved, more
+  // than one 64-lane block and an odd count.
+  std::vector<double> x{0.0, 34.999, 35.0, 1e-3, 80.0, 34.95, 35.05, 12.3};
+  emc::Rng rng(35);
+  for (int i = 0; i < 131; ++i) x.push_back(rng.uniform(0.0, 60.0));
+  [&]<int... M>(std::integer_sequence<int, M...>) {
+    (expect_lanes_match_boys<M>(x), ...);
+  }(std::make_integer_sequence<int, HermiteR::kMaxOrder + 1>{});
 }
 
 TEST(FullEriTensorTest, MatchesLegacyAllQuartetsFill) {

@@ -290,6 +290,38 @@ TEST(ServeAdmissionTest, StopWithoutStartFailsQueuedFutures) {
   EXPECT_EQ(r.error, "rejected");
 }
 
+TEST(ServeAdmissionTest, SubmitAfterStopCountsTheRejection) {
+  // Both counts see it, as they do a full-queue reject.
+  util::MetricsRegistry metrics;
+  ServerOptions options;
+  options.workers = 1;
+  options.metrics = &metrics;
+  ScfServer server(options);
+  server.start();
+  server.stop();
+  auto sub = server.submit(make_request("h2", "sto-3g"));
+  EXPECT_EQ(sub.result.get().error, "rejected");
+  EXPECT_EQ(server.counts().rejected, 1);
+  EXPECT_EQ(metrics.counter("serve/rejected").value(), 1);
+}
+
+TEST(ServeAdmissionTest, StopWithoutStartCountsQueuedJobsAsRejected) {
+  util::MetricsRegistry metrics;
+  ServerOptions options;
+  options.workers = 1;
+  options.metrics = &metrics;
+  ScfServer server(options);
+  auto a = server.submit(make_request("h2", "sto-3g"));
+  auto b = server.submit(make_request("h2", "sto-3g"));
+  server.stop();
+  EXPECT_EQ(a.result.get().error, "rejected");
+  EXPECT_EQ(b.result.get().error, "rejected");
+  const auto counts = server.counts();
+  EXPECT_EQ(counts.accepted, 2);
+  EXPECT_EQ(counts.rejected, 2);
+  EXPECT_EQ(metrics.counter("serve/rejected").value(), 2);
+}
+
 // ------------------------------------------------------------- priority
 
 TEST(ServePriorityTest, DispatchOrderIsPriorityDescThenSeqAsc) {

@@ -28,13 +28,12 @@ run() {
   (cd "$scratch" && "$build/bench/$name" "$@" >/dev/null)
 }
 
-run bench_simspeed --smoke --report="$scratch/BENCH_simspeed.json"
 run bench_kernel   --smoke --json="$scratch/BENCH_kernel.json"
 run bench_model_fit --smoke --report="$scratch/BENCH_model_fit.json"
 run bench_paper    # takes no flags; writes BENCH_paper.json to its cwd
 
 mkdir -p "$baselines"
-for b in simspeed kernel model_fit paper; do
+for b in kernel model_fit paper; do
   "$compare" --update-baseline \
     "$baselines/BENCH_$b.json" "$scratch/BENCH_$b.json"
 done
