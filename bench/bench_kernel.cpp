@@ -10,10 +10,11 @@
 //                    split of a build + the per-class profile of the
 //                    water4/6-31G* build (perfbench scf-seq's) + the
 //                    quartets each iteration of its incremental SCF
-//                    evaluates + accuracy cross-checks; writes
+//                    evaluates, checked equal on a 2-rank x 2-thread
+//                    distributed SCF + accuracy cross-checks; writes
 //                    BENCH_kernel.json and exits nonzero on an accuracy
-//                    failure, an unconverged SCF or a speedup below
-//                    --min-speedup
+//                    failure, an unconverged or diverging SCF or a
+//                    speedup below --min-speedup
 //   --calibrate      re-fit the analytic task-cost model constants
 //                    (FockBuilder::estimate_task_cost) by least squares
 //                    against wall-time measurements of the current kernel
@@ -28,6 +29,7 @@
 #include <cstring>
 #include <ctime>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -40,8 +42,10 @@
 #include "chem/molecule.hpp"
 #include "chem/scf.hpp"
 #include "core/calibration.hpp"
+#include "core/distributed_fock.hpp"
 #include "core/task_model.hpp"
 #include "linalg/lstsq.hpp"
+#include "pgas/runtime.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
@@ -147,7 +151,7 @@ struct EriCall {
 };
 
 /// The calls a build of `builder` makes: each task's screened ket pairs
-/// in loop order, grouped into windows as FockBuilder::digest_task
+/// in loop order, grouped into windows as FockBuilder::execute_task
 /// groups them (eri_window_full). Outputs go to `buffer`.
 std::vector<EriCall> build_windows(const FockBuilder& builder,
                                    double* buffer) {
@@ -488,17 +492,42 @@ int run_smoke(const std::string& json_path, double min_speedup,
 
   // The same system's SCF: how many quartets each incremental G build
   // evaluates as the density change shrinks (exact counts).
-  const ScfResult scf = run_rhf(water4_molecule, water4);
+  IncrementalGBuilder incremental(water4_builder);
+  const ScfResult scf = run_rhf_with_builder(water4_molecule, water4,
+                                             std::ref(incremental));
   std::uint64_t scf_quartets = 0;
   std::printf("\nSCF of water4/6-31G* (incremental G builds): %d "
               "iterations, %s; quartets per iteration:\n ",
               scf.iterations, scf.converged ? "converged" : "NOT converged");
-  for (const std::uint64_t q : scf.quartets_per_iteration) {
+  for (const std::uint64_t q : incremental.quartets()) {
     std::printf(" %llu", static_cast<unsigned long long>(q));
     scf_quartets += q;
   }
   std::printf("\n  total %llu, against %zu per full build\n",
               static_cast<unsigned long long>(scf_quartets), mix_quartets);
+
+  // The same SCF through the distributed builder, 2 ranks x 2 threads
+  // under the static model (deterministic): the screen must make the
+  // same decisions on every substrate, so the per-iteration quartet
+  // counts are equal exactly and the energies agree to rounding.
+  emc::pgas::Runtime runtime(2);
+  emc::core::DistributedFockOptions dist_options;
+  dist_options.model = emc::core::ExecModel::kStatic;
+  dist_options.static_balancer = "lpt";
+  dist_options.threads = 2;
+  emc::core::DistributedFockBuilder dist_builder(water4, runtime,
+                                                 dist_options);
+  IncrementalGBuilder dist_incremental(dist_builder);
+  const ScfResult dist_scf = run_rhf_with_builder(
+      water4_molecule, water4, std::ref(dist_incremental));
+  const bool dist_counts_equal =
+      dist_incremental.quartets() == incremental.quartets();
+  const double dist_energy_diff = std::abs(dist_scf.energy - scf.energy);
+  const bool dist_ok = dist_counts_equal && dist_energy_diff <= 1e-10;
+  std::printf("distributed SCF (2 ranks x 2 threads, static lpt): %d "
+              "iterations, quartets per iteration %s, |dE| = %.1e Eh: %s\n",
+              dist_scf.iterations, dist_counts_equal ? "equal" : "DIFFERENT",
+              dist_energy_diff, dist_ok ? "ok" : "FAIL");
 
   const double rand_diff = random_quartet_max_diff(seed, 24);
   max_diff = std::max(max_diff, rand_diff);
@@ -507,7 +536,7 @@ int run_smoke(const std::string& json_path, double min_speedup,
 
   const bool accuracy_ok = max_diff < 1e-10;
   const bool speed_ok = sweep.speedup() >= min_speedup;
-  const bool passed = accuracy_ok && speed_ok && scf.converged;
+  const bool passed = accuracy_ok && speed_ok && scf.converged && dist_ok;
 
   std::ofstream out(json_path);
   if (!out) {
@@ -580,7 +609,7 @@ int run_smoke(const std::string& json_path, double min_speedup,
     json.field("iterations", scf.iterations);
     json.field("total", scf_quartets);
     json.begin_array("per_iteration");
-    for (const std::uint64_t q : scf.quartets_per_iteration) {
+    for (const std::uint64_t q : incremental.quartets()) {
       json.value(static_cast<double>(q));
     }
     json.end_array();
@@ -617,6 +646,11 @@ int run_smoke(const std::string& json_path, double min_speedup,
     std::cerr << "FAIL: the water4/6-31G* SCF did not converge\n";
     return 1;
   }
+  if (!dist_ok) {
+    std::cerr << "FAIL: the distributed water4/6-31G* SCF differs from "
+                 "the sequential one (quartets per iteration or energy)\n";
+    return 1;
+  }
   std::cout << "smoke PASSED\n";
   return 0;
 }
@@ -646,7 +680,7 @@ int run_calibrate() {
     opts.measure_costs = true;
     const emc::core::TaskModel model =
         emc::core::build_task_model(w.molecule, opts);
-    const FockBuilder builder(model.basis, opts.screen_threshold);
+    const FockBuilder builder(model.basis);
     for (std::size_t t = 0; t < model.task_count(); ++t) {
       const TaskCostFeatures f = builder.task_cost_features(model.tasks[t]);
       features.push_back({1.0, f.scan, f.quartets, f.prim_quartets,

@@ -6,6 +6,7 @@
 //   ./build/examples/scf_hartree_fock --molecule alkane4 --ranks 4
 
 #include <exception>
+#include <functional>
 #include <iostream>
 
 #include "chem/scf.hpp"
@@ -53,14 +54,12 @@ int main(int argc, char** argv) try {
     result = chem::run_rhf(mol, basis, options);
   } else {
     // Parallel Fock build: the distributed builder under work stealing,
-    // rank partials accumulated one-sided each iteration.
+    // rank partials accumulated one-sided each iteration, G built
+    // incrementally as run_rhf builds it.
     pgas::Runtime runtime(static_cast<int>(ranks));
-    core::DistributedFockOptions fock_options;
-    fock_options.model = core::ExecModel::kWorkStealing;
-    fock_options.screen_threshold = options.screen_threshold;
-    core::DistributedFockBuilder builder(basis, runtime, fock_options);
-    result = chem::run_rhf_with_builder(mol, basis, builder.as_g_builder(),
-                                        options);
+    core::DistributedFockBuilder builder(basis, runtime);
+    chem::IncrementalGBuilder g(builder);
+    result = chem::run_rhf_with_builder(mol, basis, std::ref(g), options);
   }
   const double seconds = timer.seconds();
 

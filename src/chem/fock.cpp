@@ -180,52 +180,24 @@ void digest_quartet(const ShellPairData& bra, const ShellPairData& ket,
   }
 }
 
-/// Max |D| over each shell block (a, b): the ns x ns table the density
-/// screen reads.
-linalg::Matrix shell_block_max(const BasisSet& basis,
-                               const linalg::Matrix& density) {
-  const auto& shells = basis.shells();
-  linalg::Matrix m(shells.size(), shells.size());
-  for (std::size_t a = 0; a < shells.size(); ++a) {
-    const auto ra = static_cast<std::size_t>(shells[a].first_function);
-    const auto na = static_cast<std::size_t>(shells[a].function_count());
-    for (std::size_t b = 0; b < shells.size(); ++b) {
-      const auto rb = static_cast<std::size_t>(shells[b].first_function);
-      const auto nb = static_cast<std::size_t>(shells[b].function_count());
-      double v = 0.0;
-      for (std::size_t r = ra; r < ra + na; ++r) {
-        for (std::size_t c = rb; c < rb + nb; ++c) {
-          v = std::max(v, std::abs(density(r, c)));
-        }
-      }
-      m(a, b) = v;
-    }
-  }
-  return m;
-}
-
 }  // namespace
 
-void require_symmetric_density(const linalg::Matrix& density) {
+void FockBuilder::require_density(const linalg::Matrix& density) const {
+  const auto n = static_cast<std::size_t>(basis_->function_count());
+  if (density.rows() != n || density.cols() != n) {
+    throw std::invalid_argument("build_g: density shape mismatch");
+  }
   if (!density.is_symmetric(1e-12 * density.max_abs())) {
     throw std::invalid_argument(
-        "density is not square and symmetric: the Fock build needs "
-        "D = D^T");
+        "density is not symmetric: the Fock build needs D = D^T");
   }
 }
 
-void FockBuilder::execute_task(const ShellPairTask& task,
-                               const linalg::Matrix& density,
-                               linalg::Matrix& j_accum,
-                               linalg::Matrix& k_accum) const {
-  digest_task(task, density, nullptr, j_accum, k_accum);
-}
-
-std::uint64_t FockBuilder::digest_task(const ShellPairTask& task,
-                                       const linalg::Matrix& density,
-                                       const linalg::Matrix* block_max,
-                                       linalg::Matrix& j_accum,
-                                       linalg::Matrix& k_accum) const {
+std::uint64_t FockBuilder::execute_task(const ShellPairTask& task,
+                                        const linalg::Matrix& density,
+                                        linalg::Matrix& j_accum,
+                                        linalg::Matrix& k_accum,
+                                        const linalg::Matrix* block_max) const {
   const ShellPairData& bra = pairs_.pair(task.si, task.sj);
   const auto bra_size = static_cast<std::size_t>(bra.na() * bra.nb());
   // The surviving ket pairs in loop order, evaluated a window at a time
@@ -271,31 +243,41 @@ linalg::Matrix FockBuilder::combine_jk(const linalg::Matrix& j_accum,
   return g;
 }
 
-linalg::Matrix FockBuilder::build_g(const linalg::Matrix& density) const {
-  return build(density, /*density_screen=*/false, nullptr);
-}
-
-linalg::Matrix FockBuilder::build_g_density_screened(
-    const linalg::Matrix& density, std::uint64_t* quartets) const {
-  return build(density, /*density_screen=*/true, quartets);
-}
-
-linalg::Matrix FockBuilder::build(const linalg::Matrix& density,
-                                  bool density_screen,
-                                  std::uint64_t* quartets) const {
-  const auto n = static_cast<std::size_t>(basis_->function_count());
-  if (density.rows() != n || density.cols() != n) {
-    throw std::invalid_argument("build_g: density shape mismatch");
+linalg::Matrix FockBuilder::shell_block_max(
+    const linalg::Matrix& density) const {
+  const auto& shells = basis_->shells();
+  linalg::Matrix m(shells.size(), shells.size());
+  for (std::size_t a = 0; a < shells.size(); ++a) {
+    const auto ra = static_cast<std::size_t>(shells[a].first_function);
+    const auto na = static_cast<std::size_t>(shells[a].function_count());
+    for (std::size_t b = 0; b < shells.size(); ++b) {
+      const auto rb = static_cast<std::size_t>(shells[b].first_function);
+      const auto nb = static_cast<std::size_t>(shells[b].function_count());
+      double v = 0.0;
+      for (std::size_t r = ra; r < ra + na; ++r) {
+        for (std::size_t c = rb; c < rb + nb; ++c) {
+          v = std::max(v, std::abs(density(r, c)));
+        }
+      }
+      m(a, b) = v;
+    }
   }
-  require_symmetric_density(density);
+  return m;
+}
+
+linalg::Matrix FockBuilder::build_g(const linalg::Matrix& density,
+                                    Screen screen,
+                                    std::uint64_t* quartets) const {
+  require_density(density);
+  const auto n = static_cast<std::size_t>(basis_->function_count());
+  const bool density_screen = screen == Screen::kDensity;
   const linalg::Matrix block_max =
-      density_screen ? shell_block_max(*basis_, density) : linalg::Matrix();
+      density_screen ? shell_block_max(density) : linalg::Matrix();
   linalg::Matrix j_accum(n, n), k_accum(n, n);
   std::uint64_t evaluated = 0;
   for (const ShellPairTask& task : make_tasks()) {
-    evaluated += digest_task(task, density,
-                             density_screen ? &block_max : nullptr, j_accum,
-                             k_accum);
+    evaluated += execute_task(task, density, j_accum, k_accum,
+                              density_screen ? &block_max : nullptr);
   }
   if (quartets != nullptr) *quartets = evaluated;
   return combine_jk(j_accum, k_accum);

@@ -39,10 +39,9 @@ struct TaskCostFeatures {
   double scan = 0.0;           ///< ket pairs scanned (rank + 1)
 };
 
-/// Throws std::invalid_argument unless `density` is square and
-/// symmetric to 1e-12 relative to its largest element. The Fock build's
-/// digest is exact only for D = D^T.
-void require_symmetric_density(const linalg::Matrix& density);
+/// The screens of a G build: Schwarz's alone, or also the density-
+/// weighted one (FockBuilder::build_g).
+enum class Screen { kSchwarz, kDensity };
 
 /// THREAD SAFETY: a FockBuilder is immutable after construction (pair
 /// cache + Schwarz matrix are materialized in the constructor) and its
@@ -59,8 +58,10 @@ void require_symmetric_density(const linalg::Matrix& density);
 class FockBuilder {
  public:
   /// Precomputes Schwarz bounds for screening. `screen_threshold` is the
-  /// bound product below which a quartet is skipped (0 disables). Throws
-  /// std::invalid_argument unless it is finite and >= 0.
+  /// bound product below which a quartet is skipped (0 disables), by
+  /// either screen. This is its one owner: every G build and SCF over
+  /// this builder, distributed and served ones included, reads it here.
+  /// Throws std::invalid_argument unless it is finite and >= 0.
   FockBuilder(const BasisSet& basis, double screen_threshold = 1e-10);
 
   const BasisSet& basis() const { return *basis_; }
@@ -73,15 +74,30 @@ class FockBuilder {
   std::vector<ShellPairTask> make_tasks() const;
 
   /// Executes one task: digests its quartets' J/K contributions against
-  /// `density` (the total RHF density P) into `j_accum` and `k_accum`.
+  /// `density` (the total RHF density P, or a change of it) into
+  /// `j_accum` and `k_accum` and returns the number of quartets digested.
   /// Accumulators must be n x n; contributions are += so a caller may
   /// merge partial results from many tasks. The density must be
   /// symmetric: each quartet is applied as six updates that stand for
   /// its whole symmetry orbit, and only combine_jk's symmetrization
   /// completes J and K. Not checked here, per task; build entry points
-  /// check once (require_symmetric_density).
-  void execute_task(const ShellPairTask& task, const linalg::Matrix& density,
-                    linalg::Matrix& j_accum, linalg::Matrix& k_accum) const;
+  /// check once (require_density). A non-null `block_max`
+  /// (shell_block_max of `density`) adds the density screen of
+  /// Screen::kDensity.
+  std::uint64_t execute_task(const ShellPairTask& task,
+                             const linalg::Matrix& density,
+                             linalg::Matrix& j_accum, linalg::Matrix& k_accum,
+                             const linalg::Matrix* block_max = nullptr) const;
+
+  /// Throws std::invalid_argument unless `density` is n x n and
+  /// symmetric to 1e-12 relative to its largest element: the digest is
+  /// exact only for D = D^T.
+  void require_density(const linalg::Matrix& density) const;
+
+  /// Max |D| over each shell block (a, b): the ns x ns table the density
+  /// screen reads. A build computes it once, before any task runs, so
+  /// every task of the build makes its skip decisions from one table.
+  linalg::Matrix shell_block_max(const linalg::Matrix& density) const;
 
   /// Analytic work estimate (flop-weighted, no density info): sum over
   /// surviving quartets of the product of function counts and contraction
@@ -92,13 +108,9 @@ class FockBuilder {
   /// TaskCostFeatures); used to re-fit the model constants.
   TaskCostFeatures task_cost_features(const ShellPairTask& task) const;
 
-  /// Full G(P) = J - K/2 built by running every task sequentially.
-  /// Throws std::invalid_argument unless `density` is n x n and
-  /// symmetric (see execute_task).
-  linalg::Matrix build_g(const linalg::Matrix& density) const;
-
-  /// build_g with a density-weighted screen on top of Schwarz's: quartet
-  /// (ij|kl) is also skipped when
+  /// G(P) = J - K/2 built by running every task sequentially. Screen::
+  /// kSchwarz, the default, is the oracle. Screen::kDensity also skips
+  /// quartet (ij|kl) when
   ///   Q_ij Q_kl max(4|D_ij|, 4|D_kl|, |D_ik|, |D_il|, |D_jk|, |D_jl|)
   /// is below screen_threshold, |D_ab| being the largest |element| of
   /// the density's shell block (a, b). The weights follow the digest
@@ -109,8 +121,11 @@ class FockBuilder {
   /// threshold. Meant for density differences, whose blocks shrink as an
   /// SCF converges (IncrementalGBuilder in chem/scf.hpp). Stores the
   /// number of quartets evaluated in `*quartets` when it is non-null.
-  linalg::Matrix build_g_density_screened(
-      const linalg::Matrix& density, std::uint64_t* quartets = nullptr) const;
+  /// Throws std::invalid_argument unless `density` is n x n and
+  /// symmetric (see execute_task).
+  linalg::Matrix build_g(const linalg::Matrix& density,
+                         Screen screen = Screen::kSchwarz,
+                         std::uint64_t* quartets = nullptr) const;
 
   /// Combines J/K accumulators into G = J - K/2 and symmetrizes.
   static linalg::Matrix combine_jk(const linalg::Matrix& j_accum,
@@ -124,17 +139,6 @@ class FockBuilder {
   void for_each_ket_pair(const ShellPairTask& task,
                          const linalg::Matrix* block_max,
                          QuartetFn&& fn) const;
-
-  /// execute_task behind an optional density screen; returns the number
-  /// of quartets digested.
-  std::uint64_t digest_task(const ShellPairTask& task,
-                            const linalg::Matrix& density,
-                            const linalg::Matrix* block_max,
-                            linalg::Matrix& j_accum,
-                            linalg::Matrix& k_accum) const;
-
-  linalg::Matrix build(const linalg::Matrix& density, bool density_screen,
-                       std::uint64_t* quartets) const;
 
   const BasisSet* basis_;
   double screen_threshold_;

@@ -126,11 +126,11 @@ void check_options(const ScfOptions& options) {
 linalg::Matrix IncrementalGBuilder::operator()(const linalg::Matrix& density) {
   std::uint64_t quartets = 0;
   if (density_.rows() == 0) {
-    g_ = builder_->build_g_density_screened(density, &quartets);
+    g_ = build_(density, &quartets);
   } else {
     linalg::Matrix delta = density;
     delta -= density_;
-    g_ += builder_->build_g_density_screened(delta, &quartets);
+    g_ += build_(delta, &quartets);
   }
   density_ = density;
   quartets_.push_back(quartets);
@@ -224,12 +224,9 @@ ScfResult run_rhf_with_builder(const Molecule& molecule,
 
 ScfResult run_rhf(const Molecule& molecule, const BasisSet& basis,
                   const ScfOptions& options) {
-  const FockBuilder builder(basis, options.screen_threshold);
+  const FockBuilder builder(basis);
   IncrementalGBuilder g(builder);
-  ScfResult result =
-      run_rhf_with_builder(molecule, basis, std::ref(g), options);
-  result.quartets_per_iteration = g.quartets();
-  return result;
+  return run_rhf_with_builder(molecule, basis, std::ref(g), options);
 }
 
 }  // namespace emc::chem

@@ -5,8 +5,8 @@
 // This is the reference (sequential) implementation of the kernel whose
 // parallel execution the rest of the library studies; the parallel
 // executors must reproduce FockBuilder::build_g's G bit-for-bit up to
-// summation order. run_rhf itself builds G incrementally
-// (IncrementalGBuilder).
+// summation order. Every SCF, sequential or distributed, builds G
+// incrementally (IncrementalGBuilder over the substrate's builder).
 
 #include <cstdint>
 #include <functional>
@@ -27,10 +27,6 @@ struct ScfOptions {
   double energy_tolerance = 1e-9;     ///< |dE| convergence threshold
   double error_tolerance = 1e-6;      ///< DIIS error norm threshold
   int diis_size = 8;                  ///< history length (0 disables DIIS)
-  /// Quartet screen of the FockBuilder that run_rhf constructs. Read by
-  /// run_rhf only: with run_rhf_with_builder the G builder owns its
-  /// threshold and this field is ignored.
-  double screen_threshold = 1e-10;
   int net_charge = 0;
 };
 
@@ -44,9 +40,6 @@ struct ScfResult {
   std::vector<double> orbital_energies;
   linalg::Matrix density;           ///< converged total density P
   linalg::Matrix fock;              ///< converged Fock matrix
-  /// Quartets each iteration's G build evaluated (run_rhf only; empty
-  /// when the caller supplies the G builder).
-  std::vector<std::uint64_t> quartets_per_iteration;
 };
 
 /// Pluggable G(P) builder so parallel executors can be swapped in for
@@ -54,20 +47,26 @@ struct ScfResult {
 using GBuilder =
     std::function<linalg::Matrix(const linalg::Matrix& density)>;
 
-/// The stock sequential G(P) builder. G is linear in P, so each call
-/// builds only the change, G(P_i) = G(P_{i-1}) + G(P_i - P_{i-1}), the
-/// increment through FockBuilder::build_g_density_screened: as the SCF
-/// converges the density change shrinks and its screen drops a growing
-/// share of quartets. The first call starts from P_0 = 0. Skipped
-/// quartets' contributions stay out of every later G, so G drifts from
-/// build_g(P) by a few screen thresholds' worth (~1e-9 Eh on the
-/// water4/6-31G* energy; DESIGN.md). Stateful: use one per SCF run and
-/// hand it to run_rhf_with_builder through std::ref. The FockBuilder
-/// must outlive it; any number of them may share one concurrently.
+/// The incremental G(P) builder every SCF runs. G is linear in P, so
+/// each call builds only the change, G(P_i) = G(P_{i-1}) + G(P_i -
+/// P_{i-1}), through the wrapped builder's build_g with Screen::kDensity:
+/// as the SCF converges the density change shrinks and its screen drops
+/// a growing share of quartets. The first call starts from P_0 = 0.
+/// Skipped quartets' contributions stay out of every later G, so G
+/// drifts from the full build_g(P) by a few screen thresholds' worth
+/// (~1e-9 Eh on the water4/6-31G* energy; DESIGN.md). Stateful: use one
+/// per SCF run and hand it to run_rhf_with_builder through std::ref.
 class IncrementalGBuilder {
  public:
-  explicit IncrementalGBuilder(const FockBuilder& builder)
-      : builder_(&builder) {}
+  /// Wraps any builder with build_g(density, Screen, quartets*):
+  /// chem::FockBuilder (any number of IncrementalGBuilders may share one
+  /// concurrently) or core::DistributedFockBuilder. It must outlive this
+  /// object.
+  template <typename Builder>
+  explicit IncrementalGBuilder(Builder& builder)
+      : build_([&builder](const linalg::Matrix& d, std::uint64_t* q) {
+          return builder.build_g(d, Screen::kDensity, q);
+        }) {}
 
   linalg::Matrix operator()(const linalg::Matrix& density);
 
@@ -75,18 +74,19 @@ class IncrementalGBuilder {
   const std::vector<std::uint64_t>& quartets() const { return quartets_; }
 
  private:
-  const FockBuilder* builder_;
+  std::function<linalg::Matrix(const linalg::Matrix&, std::uint64_t*)>
+      build_;
   linalg::Matrix density_;  ///< P of the previous call
   linalg::Matrix g_;        ///< G(P) returned by the previous call
   std::vector<std::uint64_t> quartets_;
 };
 
-/// Runs RHF through an IncrementalGBuilder over a FockBuilder with
-/// options.screen_threshold.
+/// Runs RHF through an IncrementalGBuilder over a FockBuilder.
 ScfResult run_rhf(const Molecule& molecule, const BasisSet& basis,
                   const ScfOptions& options = {});
 
-/// Runs RHF with a caller-supplied two-electron G(P) builder.
+/// Runs RHF with a caller-supplied two-electron G(P) builder: the one SCF
+/// driver. Every SCF in the library hands it an IncrementalGBuilder.
 ScfResult run_rhf_with_builder(const Molecule& molecule,
                                const BasisSet& basis, const GBuilder& g,
                                const ScfOptions& options = {});

@@ -1,7 +1,7 @@
 #include "core/distributed_fock.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "exec/tree_reduction.hpp"
@@ -60,7 +60,7 @@ DistributedFockBuilder::DistributedFockBuilder(
     const chem::BasisSet& basis, pgas::Runtime& runtime,
     DistributedFockOptions options)
     : basis_(&basis), runtime_(&runtime), options_(std::move(options)),
-      fock_(basis, options_.screen_threshold), tasks_(fock_.make_tasks()),
+      fock_(basis), tasks_(fock_.make_tasks()),
       schedule_{options_.model, options_.intra_policy, options_.counter_chunk,
                 options_.intra_chunk, options_.steal},
       scheduler_(runtime, options_.threads),
@@ -68,14 +68,6 @@ DistributedFockBuilder::DistributedFockBuilder(
   schedule_.validate();
   make_slots();
   slot_home_ = slot_assignment();
-  // Screening totals are Schwarz-only (density-independent): a property
-  // of the basis + threshold, both fixed here, so tally once and add
-  // per build.
-  for (const auto& task : tasks_) {
-    const chem::TaskCostFeatures f = fock_.task_cost_features(task);
-    scan_total_ += f.scan;
-    survived_total_ += f.quartets;
-  }
   if (options_.metrics != nullptr) attach_metrics();
 }
 
@@ -125,16 +117,12 @@ void DistributedFockBuilder::attach_metrics() {
   runtime_->set_metrics(&reg);
   metrics_.builds = &reg.counter("fock/builds");
   metrics_.tasks = &reg.counter("fock/tasks");
-  metrics_.kets_scanned = &reg.counter("fock/ket_pairs_scanned");
-  metrics_.kets_survived = &reg.counter("fock/ket_pairs_survived");
-  metrics_.skip_rate = &reg.gauge("fock/screening_skip_rate");
+  metrics_.quartets = &reg.counter("fock/quartets");
   metrics_.phase_get = &reg.gauge("fock/phase_get_seconds");
   metrics_.phase_execute = &reg.gauge("fock/phase_execute_seconds");
   metrics_.phase_accumulate = &reg.gauge("fock/phase_accumulate_seconds");
   metrics_.reduction_buffers = &reg.gauge("fock/reduction_buffers");
 
-  metrics_.skip_rate->set(
-      scan_total_ > 0.0 ? 1.0 - survived_total_ / scan_total_ : 0.0);
   reg.gauge("fock/reduction_slots")
       .set(static_cast<double>(slots_.size()));
 
@@ -171,6 +159,8 @@ lb::Assignment DistributedFockBuilder::slot_assignment() const {
 
 exec::ExecutionStats DistributedFockBuilder::run_hybrid(
     const std::vector<linalg::Matrix>& density,
+    const linalg::Matrix* block_max,
+    std::vector<std::uint64_t>& slot_quartets,
     std::vector<JkBuffer*>& rank_roots) {
   const int ranks = runtime_->size();
   const auto n_slots = static_cast<std::int64_t>(slots_.size());
@@ -198,12 +188,13 @@ exec::ExecutionStats DistributedFockBuilder::run_hybrid(
                                 exec::RankStats& ts) {
     JkBuffer* buffer = buffer_pool_.acquire();
     emc::Timer busy;
-    const auto [task_first, task_last] =
-        slots_[static_cast<std::size_t>(s)];
+    const auto su = static_cast<std::size_t>(s);
+    const auto [task_first, task_last] = slots_[su];
     for (std::int64_t t = task_first; t < task_last; ++t) {
-      fock_.execute_task(tasks_[static_cast<std::size_t>(t)],
-                         density[static_cast<std::size_t>(rank)],
-                         buffer->j, buffer->k);
+      slot_quartets[su] += fock_.execute_task(
+          tasks_[static_cast<std::size_t>(t)],
+          density[static_cast<std::size_t>(rank)], buffer->j, buffer->k,
+          block_max);
     }
     ts.busy_seconds += busy.seconds();
     ts.tasks_executed += task_last - task_first;
@@ -222,13 +213,14 @@ exec::ExecutionStats DistributedFockBuilder::run_hybrid(
   return scheduler_.run(schedule_, slot_home_, execute_slot, finalize_rank);
 }
 
-linalg::Matrix DistributedFockBuilder::build_g(
-    const linalg::Matrix& density) {
+linalg::Matrix DistributedFockBuilder::build_g(const linalg::Matrix& density,
+                                               chem::Screen screen,
+                                               std::uint64_t* quartets) {
+  fock_.require_density(density);
   const auto n = static_cast<std::size_t>(basis_->function_count());
-  if (density.rows() != n || density.cols() != n) {
-    throw std::invalid_argument("build_g: density shape mismatch");
-  }
-  chem::require_symmetric_density(density);
+  const bool density_screen = screen == chem::Screen::kDensity;
+  const linalg::Matrix block_max =
+      density_screen ? fock_.shell_block_max(density) : linalg::Matrix();
   const int ranks = runtime_->size();
 
   // Publish the density; ranks will fetch it one-sided.
@@ -251,6 +243,7 @@ linalg::Matrix DistributedFockBuilder::build_g(
   std::vector<linalg::Matrix> local_density(
       static_cast<std::size_t>(ranks), linalg::Matrix(n, n));
   std::vector<JkBuffer*> rank_roots;
+  std::vector<std::uint64_t> slot_quartets(slots_.size());
 
   // Fetch + execute + accumulate are their own SPMD phases. This
   // mirrors GA codes: GA_Get(P) ... do work ... GA_Acc(F) with
@@ -264,7 +257,9 @@ linalg::Matrix DistributedFockBuilder::build_g(
   if (metrics_.phase_get != nullptr) metrics_.phase_get->add(phase.seconds());
 
   phase.reset();
-  last_stats_ = run_hybrid(local_density, rank_roots);
+  last_stats_ = run_hybrid(local_density,
+                           density_screen ? &block_max : nullptr,
+                           slot_quartets, rank_roots);
   if (metrics_.phase_execute != nullptr) {
     metrics_.phase_execute->add(phase.seconds());
   }
@@ -294,21 +289,17 @@ linalg::Matrix DistributedFockBuilder::build_g(
     }
   }
   ++builds_;
+  const std::uint64_t evaluated = std::accumulate(
+      slot_quartets.begin(), slot_quartets.end(), std::uint64_t{0});
+  if (quartets != nullptr) *quartets = evaluated;
   if (metrics_.builds != nullptr) {
     metrics_.builds->add(1);
     metrics_.tasks->add(static_cast<std::int64_t>(tasks_.size()));
-    // Per-build tally of the fixed screening totals, rounded to nearest
-    // (truncation undercounted by up to one ket pair per build).
-    metrics_.kets_scanned->add(std::llround(scan_total_));
-    metrics_.kets_survived->add(std::llround(survived_total_));
+    metrics_.quartets->add(static_cast<std::int64_t>(evaluated));
     metrics_.reduction_buffers->set(
         static_cast<double>(buffer_pool_.allocated()));
   }
   return chem::FockBuilder::combine_jk(j_total, k_total);
-}
-
-chem::GBuilder DistributedFockBuilder::as_g_builder() {
-  return [this](const linalg::Matrix& density) { return build_g(density); };
 }
 
 }  // namespace emc::core

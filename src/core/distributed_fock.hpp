@@ -16,9 +16,9 @@
 // assignment the rank's J/K partial is bitwise identical regardless of
 // thread count, intra policy, or scheduling interleaving.
 //
-// The same object plugs into chem::run_rhf_with_builder, so a full SCF
-// can be driven end-to-end through any execution model and verified
-// against the sequential reference (tests/test_distributed_fock.cpp).
+// Wrapped in a chem::IncrementalGBuilder it drives the same incremental
+// SCF as the sequential chem::run_rhf through any execution model, and
+// is verified against it (tests/test_distributed_fock.cpp).
 
 #include <cstdint>
 #include <memory>
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "chem/fock.hpp"
-#include "chem/scf.hpp"
 #include "exec/schedulers.hpp"
 #include "lb/partition.hpp"
 #include "pgas/global_array.hpp"
@@ -52,7 +51,6 @@ struct DistributedFockOptions {
   /// Slots per global-nxtval grab under ExecModel::kCounter (>= 1).
   std::int64_t counter_chunk = 4;
   exec::WorkStealingOptions steal;
-  double screen_threshold = 1e-10;
 
   /// Pool threads per rank. 1 = the classic serial-per-rank loop (no
   /// workers are spawned). The Fock matrix is bitwise independent of
@@ -68,8 +66,8 @@ struct DistributedFockOptions {
   /// the runtime (per-rank barrier/PGAS counters), the per-build
   /// GlobalArrays (get/put/acc ops + bytes), and records its own
   /// "fock/..." series: per-phase wall time (get / execute /
-  /// accumulate), build count, Schwarz screening skip rate, reduction
-  /// buffer pool size, and shell-pair-cache stats. Must outlive the
+  /// accumulate), build count, quartets evaluated, reduction buffer pool
+  /// size, and shell-pair-cache stats. Must outlive the
   /// builder. nullptr = fully disabled, no overhead on the build path.
   util::MetricsRegistry* metrics = nullptr;
 };
@@ -115,16 +113,19 @@ class DistributedFockBuilder {
                          pgas::Runtime& runtime,
                          DistributedFockOptions options = {});
 
-  /// Builds G(P) = J - K/2 with the configured execution model. The
-  /// density is published to a GlobalArray, ranks fetch it one-sided,
-  /// execute their tasks ranks × threads, tree-reduce per rank, and
-  /// accumulate the rank partials back one-sided. Throws
-  /// std::invalid_argument unless `density` is n x n and symmetric (see
-  /// chem::FockBuilder::execute_task).
-  linalg::Matrix build_g(const linalg::Matrix& density);
-
-  /// Adapter for chem::run_rhf_with_builder.
-  chem::GBuilder as_g_builder();
+  /// Builds G(P) = J - K/2 with the configured execution model, behind
+  /// the same screens as chem::FockBuilder::build_g. The density is
+  /// published to a GlobalArray, ranks fetch it one-sided, execute their
+  /// tasks ranks × threads, tree-reduce per rank, and accumulate the
+  /// rank partials back one-sided. Screen::kDensity's shell-block table
+  /// is built once, on the calling thread, and read by every slot, so
+  /// every rank and thread makes the same skip decisions. Stores the
+  /// number of quartets evaluated in `*quartets` when it is non-null.
+  /// Throws std::invalid_argument unless `density` is n x n and
+  /// symmetric (see chem::FockBuilder::execute_task).
+  linalg::Matrix build_g(const linalg::Matrix& density,
+                         chem::Screen screen = chem::Screen::kSchwarz,
+                         std::uint64_t* quartets = nullptr);
 
   /// Execution statistics of the most recent build_g call. Per-rank
   /// tasks_executed counts TASKS (summed over that rank's threads);
@@ -141,7 +142,11 @@ class DistributedFockBuilder {
  private:
   void make_slots();
   lb::Assignment slot_assignment() const;
+  /// Runs every slot; slot s writes its quartet count to
+  /// slot_quartets[s] (each slot runs exactly once).
   exec::ExecutionStats run_hybrid(const std::vector<linalg::Matrix>& density,
+                                  const linalg::Matrix* block_max,
+                                  std::vector<std::uint64_t>& slot_quartets,
                                   std::vector<JkBuffer*>& rank_roots);
   void attach_metrics();
 
@@ -150,9 +155,7 @@ class DistributedFockBuilder {
   struct FockMetrics {
     util::Counter* builds = nullptr;
     util::Counter* tasks = nullptr;
-    util::Counter* kets_scanned = nullptr;
-    util::Counter* kets_survived = nullptr;
-    util::Gauge* skip_rate = nullptr;
+    util::Counter* quartets = nullptr;
     util::Gauge* phase_get = nullptr;
     util::Gauge* phase_execute = nullptr;
     util::Gauge* phase_accumulate = nullptr;
@@ -177,11 +180,6 @@ class DistributedFockBuilder {
   exec::ExecutionStats last_stats_;
   int builds_ = 0;
   FockMetrics metrics_;
-  // Screening totals over all tasks (density-independent, so computed
-  // once at construction): ket pairs scanned vs surviving Schwarz.
-  // Tallied into the counters once per build, rounded to nearest.
-  double scan_total_ = 0.0;
-  double survived_total_ = 0.0;
 };
 
 }  // namespace emc::core

@@ -26,7 +26,7 @@ TaskModel build_task_model(const chem::Molecule& molecule,
                   {},
                   {}};
 
-  const chem::FockBuilder builder(model.basis, options.screen_threshold);
+  const chem::FockBuilder builder(model.basis);
   model.tasks = builder.make_tasks();
 
   model.shell_atom.reserve(model.basis.shell_count());
@@ -35,7 +35,7 @@ TaskModel build_task_model(const chem::Molecule& molecule,
   }
 
   if (options.measure_costs) {
-    model.costs = measure_task_costs(model, options.screen_threshold);
+    model.costs = measure_task_costs(model);
   } else {
     model.costs.reserve(model.tasks.size());
     for (const auto& task : model.tasks) {
@@ -125,9 +125,8 @@ graph::Hypergraph make_task_hypergraph(const TaskModel& model) {
 }
 
 std::vector<double> measure_task_costs(const TaskModel& model,
-                                       double screen_threshold,
                                        int repeats) {
-  const chem::FockBuilder builder(model.basis, screen_threshold);
+  const chem::FockBuilder builder(model.basis);
   const auto n = static_cast<std::size_t>(model.basis.function_count());
 
   // Crude but realistic model density: identity-like with decaying

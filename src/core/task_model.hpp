@@ -36,7 +36,6 @@ struct TaskModel {
 
 struct TaskModelOptions {
   std::string basis_name = "sto-3g";
-  double screen_threshold = 1e-10;
   /// If true, run every task once and record wall time; otherwise use
   /// the analytic estimate scaled to ~seconds.
   bool measure_costs = false;
@@ -85,7 +84,6 @@ graph::Hypergraph make_task_hypergraph(const TaskModel& model);
 /// kept (the standard de-noising for microsecond-scale kernels on a
 /// shared machine).
 std::vector<double> measure_task_costs(const TaskModel& model,
-                                       double screen_threshold,
                                        int repeats = 3);
 
 }  // namespace emc::core

@@ -5,9 +5,8 @@
 
 namespace emc::serve {
 
-FockCache::FockCache(std::size_t capacity, double screen_threshold,
-                     util::MetricsRegistry* metrics)
-    : capacity_(capacity), screen_threshold_(screen_threshold) {
+FockCache::FockCache(std::size_t capacity, util::MetricsRegistry* metrics)
+    : capacity_(capacity) {
   if (capacity_ < 1) {
     throw std::invalid_argument("FockCache: capacity must be >= 1");
   }
@@ -28,8 +27,7 @@ std::shared_ptr<const FockCacheEntry> FockCache::build_entry(
   entry->basis = chem::BasisSet::build(entry->molecule, basis);
   // The builder keeps a pointer to entry->basis; the entry is
   // shared_ptr-owned and never moved, so the address is stable.
-  entry->builder =
-      std::make_unique<chem::FockBuilder>(entry->basis, screen_threshold_);
+  entry->builder = std::make_unique<chem::FockBuilder>(entry->basis);
   return entry;
 }
 

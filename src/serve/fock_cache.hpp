@@ -59,7 +59,7 @@ class FockCache {
   /// When `metrics` is non-null the cache also publishes
   /// serve/cache_{hits,misses,evictions} counters and a
   /// serve/cache_entries gauge there (registry must outlive the cache).
-  explicit FockCache(std::size_t capacity, double screen_threshold = 1e-10,
+  explicit FockCache(std::size_t capacity,
                      util::MetricsRegistry* metrics = nullptr);
 
   /// Returns the entry for (molecule, basis), constructing it on first
@@ -84,7 +84,6 @@ class FockCache {
       const std::string& molecule, const std::string& basis) const;
 
   std::size_t capacity_;
-  double screen_threshold_;
   util::Counter* hits_metric_ = nullptr;
   util::Counter* misses_metric_ = nullptr;
   util::Counter* evictions_metric_ = nullptr;

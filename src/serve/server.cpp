@@ -70,8 +70,8 @@ ScfServer::ScfServer(const ServerOptions& options) : options_(options) {
   if (options_.max_attempts < 1) {
     throw std::invalid_argument("ScfServer: max_attempts must be >= 1");
   }
-  cache_ = std::make_unique<FockCache>(
-      options_.cache_capacity, options_.screen_threshold, options_.metrics);
+  cache_ = std::make_unique<FockCache>(options_.cache_capacity,
+                                       options_.metrics);
 }
 
 ScfServer::~ScfServer() { stop(); }

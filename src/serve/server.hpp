@@ -98,7 +98,6 @@ struct ServerOptions {
   };
   Overload overload = Overload::kReject;
   std::size_t cache_capacity = 8;  ///< FockCache resident entries
-  double screen_threshold = 1e-10;
   // Fault injection (PR 3 idiom): each attempt of job j is lost with
   // probability fail_prob, decided by hash(seed, j, attempt); the
   // max_attempts-th attempt is forced through so jobs always finish.

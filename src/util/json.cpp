@@ -49,8 +49,13 @@ bool JsonParser::consume_literal(const char* lit) {
 
 JsonValue JsonParser::parse_value() {
   const char c = peek();
-  if (c == '{') return parse_object();
-  if (c == '[') return parse_array();
+  if (c == '{' || c == '[') {
+    if (depth_ == kMaxJsonDepth) fail("nesting deeper than the limit");
+    ++depth_;
+    JsonValue v = c == '{' ? parse_object() : parse_array();
+    --depth_;
+    return v;
+  }
   if (c == '"') {
     JsonValue v;
     v.kind = JsonValue::Kind::kString;

@@ -35,12 +35,18 @@ struct JsonValue {
   }
 };
 
+/// Deepest array/object nesting the parser accepts. The checked-in
+/// reports nest at most 7 deep; the bound keeps the recursive descent
+/// from overflowing the stack on hostile input.
+inline constexpr int kMaxJsonDepth = 256;
+
 class JsonParser {
  public:
   explicit JsonParser(const std::string& text) : text_(text) {}
 
   /// Parses the whole document; throws std::runtime_error on any error,
-  /// including non-finite number literals.
+  /// including non-finite number literals and nesting deeper than
+  /// kMaxJsonDepth.
   JsonValue parse();
 
  private:
@@ -58,6 +64,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects open at pos_
 };
 
 /// Convenience: parses `text`, returning the document. Throws

@@ -1,17 +1,21 @@
 // Gating semantics of the bench_compare library: identical reports pass,
 // deterministic drift fails, hostware noise warns, structure changes
 // (missing cells, renamed keys, NaN guards) fail loudly, and the
-// manifest validator rejects malformed envelopes.
+// manifest validator rejects malformed envelopes. Mutated copies of the
+// checked-in baselines either parse or fail with a message, never crash.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "bench_compare_lib.hpp"
 #include "manifest.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -19,6 +23,7 @@ using emc::tools::CompareOptions;
 using emc::tools::CompareResult;
 using emc::tools::compare_reports;
 using emc::tools::DeltaStatus;
+using emc::tools::markdown_report;
 using emc::util::parse_json;
 
 CompareResult compare(const std::string& base, const std::string& cand,
@@ -220,6 +225,50 @@ TEST(MarkdownReport, ContainsSummaryAndRows) {
   EXPECT_NE(md.find("**FAIL**"), std::string::npos);
   EXPECT_NE(md.find("`events`"), std::string::npos);
   EXPECT_NE(md.find("deterministic counter mismatch"), std::string::npos);
+}
+
+TEST(ParserFuzz, MutatedBaselinesParseOrFailCleanly) {
+  // Prefix truncations at a stride and seeded byte flips of every
+  // checked-in report. Each mutant parses or throws std::runtime_error;
+  // each one that parses is compared against the original. The
+  // sanitizer builds run this too.
+  for (const char* name :
+       {"BENCH_kernel.json", "BENCH_model_fit.json", "BENCH_paper.json"}) {
+    std::ifstream in(std::string(EMC_BASELINE_DIR) + "/" + name);
+    ASSERT_TRUE(in) << name;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const std::string text = buf.str();
+    const emc::util::JsonValue original = parse_json(text);
+    int parsed = 0, failed = 0;
+    auto probe = [&](const std::string& mutant) {
+      emc::util::JsonValue doc;
+      try {
+        doc = parse_json(mutant);
+      } catch (const std::runtime_error&) {
+        ++failed;
+        return;
+      }
+      ++parsed;
+      const CompareResult r = compare_reports(original, doc, {});
+      EXPECT_FALSE(markdown_report(name, "mutant", r).empty());
+    };
+    const std::size_t stride = std::max<std::size_t>(1, text.size() / 200);
+    for (std::size_t len = 0; len < text.size(); len += stride) {
+      probe(text.substr(0, len));
+    }
+    emc::Rng rng(20261020);
+    for (int trial = 0; trial < 300; ++trial) {
+      std::string mutant = text;
+      const std::uint64_t flips = 1 + rng.below(4);
+      for (std::uint64_t f = 0; f < flips; ++f) {
+        mutant[rng.below(mutant.size())] = static_cast<char>(rng.below(256));
+      }
+      probe(mutant);
+    }
+    EXPECT_GT(failed, 0) << name;
+    EXPECT_GT(parsed, 0) << name;
+  }
 }
 
 }  // namespace

@@ -132,15 +132,15 @@ TEST(ScfTest, DiisAcceleratesConvergence) {
 }
 
 TEST(ScfTest, ScreeningDoesNotChangeEnergy) {
+  // The FockBuilder owns the screen threshold.
   const Molecule mol = make_water();
   const BasisSet basis = BasisSet::build(mol, "sto-3g");
-  ScfOptions screened;
-  screened.screen_threshold = 1e-9;
-  ScfOptions unscreened;
-  unscreened.screen_threshold = 0.0;
-  const ScfResult a = run_rhf(mol, basis, screened);
-  const ScfResult b = run_rhf(mol, basis, unscreened);
-  EXPECT_NEAR(a.energy, b.energy, 1e-7);
+  auto energy = [&](double screen_threshold) {
+    const FockBuilder builder(basis, screen_threshold);
+    IncrementalGBuilder g(builder);
+    return run_rhf_with_builder(mol, basis, std::ref(g)).energy;
+  };
+  EXPECT_NEAR(energy(1e-9), energy(0.0), 1e-7);
 }
 
 TEST(FockBuilderTest, TaskCountIsTriangular) {
@@ -279,7 +279,7 @@ TEST(ScfTest, RejectsBadOptions) {
   const GBuilder g = [&builder](const Matrix& p) { return builder.build_g(p); };
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  std::vector<ScfOptions> bad(9);
+  std::vector<ScfOptions> bad(8);
   bad[0].max_iterations = 0;
   bad[1].max_iterations = -3;
   bad[2].diis_size = -1;
@@ -288,16 +288,11 @@ TEST(ScfTest, RejectsBadOptions) {
   bad[5].energy_tolerance = inf;
   bad[6].error_tolerance = nan;
   bad[7].error_tolerance = -1e-6;
-  bad[8].screen_threshold = nan;
   for (std::size_t i = 0; i < bad.size(); ++i) {
     EXPECT_THROW(run_rhf(mol, basis, bad[i]), std::invalid_argument) << i;
-    // The G builder owns the screen threshold: run_rhf_with_builder
-    // ignores options.screen_threshold.
-    if (i != 8) {
-      EXPECT_THROW(run_rhf_with_builder(mol, basis, g, bad[i]),
-                   std::invalid_argument)
-          << i;
-    }
+    EXPECT_THROW(run_rhf_with_builder(mol, basis, g, bad[i]),
+                 std::invalid_argument)
+        << i;
   }
   ScfOptions one_iteration;
   one_iteration.max_iterations = 1;
@@ -456,7 +451,7 @@ TEST(DensityScreenTest, RandomDensitiesStayWithinTheScreenBound) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const Matrix d = random_block_density(basis, seed);
     std::uint64_t quartets = 0;
-    const Matrix screened = builder.build_g_density_screened(d, &quartets);
+    const Matrix screened = builder.build_g(d, Screen::kDensity, &quartets);
     const Matrix full = builder.build_g(d);
     const ScreenAudit audit = audit_density_screen(builder, d);
     EXPECT_EQ(quartets, audit.survivors) << "seed " << seed;
@@ -493,7 +488,7 @@ TEST(DensityScreenTest, ZeroDensityChangeEvaluatesNoQuartets) {
   const FockBuilder builder(basis);
   const auto n = static_cast<std::size_t>(basis.function_count());
   std::uint64_t quartets = 1;
-  const Matrix g = builder.build_g_density_screened(Matrix(n, n), &quartets);
+  const Matrix g = builder.build_g(Matrix(n, n), Screen::kDensity, &quartets);
   EXPECT_EQ(quartets, 0u);
   EXPECT_EQ(g.max_abs(), 0.0);
 
@@ -516,19 +511,20 @@ TEST(ScfTest, IncrementalScfMatchesFullBuildOracle) {
     const Molecule mol = make_named_molecule(name);
     const BasisSet basis = BasisSet::build(mol, "6-31g*");
     const FockBuilder builder(basis);
-    const ScfResult incremental = run_rhf(mol, basis);
+    IncrementalGBuilder g(builder);
+    const ScfResult incremental =
+        run_rhf_with_builder(mol, basis, std::ref(g));
     const ScfResult full = run_rhf_with_builder(
         mol, basis, [&builder](const Matrix& p) { return builder.build_g(p); });
     EXPECT_TRUE(incremental.converged) << name;
+    EXPECT_EQ(incremental.energy, run_rhf(mol, basis).energy) << name;
     EXPECT_EQ(incremental.iterations, full.iterations) << name;
     EXPECT_NEAR(incremental.energy, full.energy, 1e-9) << name;
-    ASSERT_EQ(incremental.quartets_per_iteration.size(),
+    ASSERT_EQ(g.quartets().size(),
               static_cast<std::size_t>(incremental.iterations));
-    EXPECT_TRUE(full.quartets_per_iteration.empty());
     if (std::string(name) == "water2") {
       // The density change shrinks, so the last build screens more.
-      EXPECT_LT(incremental.quartets_per_iteration.back(),
-                incremental.quartets_per_iteration.front());
+      EXPECT_LT(g.quartets().back(), g.quartets().front());
     }
   }
 }

@@ -1,11 +1,14 @@
 // End-to-end tests of the GA-style distributed Fock builder: every
-// execution model must reproduce the sequential SCF exactly, and its
-// execution statistics must be coherent.
+// execution model must reproduce the sequential SCF exactly (the same
+// incremental G builds, the same screen decisions), and its execution
+// statistics must be coherent.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <numeric>
 
 #include "chem/scf.hpp"
 #include "core/distributed_fock.hpp"
@@ -28,6 +31,12 @@ class DistributedFockTest : public ::testing::Test {
         basis(chem::BasisSet::build(mol, "sto-3g")),
         reference(chem::run_rhf(mol, basis)) {}
 
+  /// The incremental SCF through `builder`, as run_rhf runs it.
+  chem::ScfResult incremental_scf(DistributedFockBuilder& builder) const {
+    chem::IncrementalGBuilder g(builder);
+    return chem::run_rhf_with_builder(mol, basis, std::ref(g));
+  }
+
   chem::Molecule mol;
   chem::BasisSet basis;
   chem::ScfResult reference;
@@ -39,10 +48,9 @@ TEST_F(DistributedFockTest, StaticModelMatchesSequential) {
   options.model = ExecModel::kStatic;
   options.static_balancer = "lpt";
   DistributedFockBuilder builder(basis, runtime, options);
-  const chem::ScfResult r =
-      chem::run_rhf_with_builder(mol, basis, builder.as_g_builder());
+  const chem::ScfResult r = incremental_scf(builder);
   EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.energy, reference.energy, 1e-9);
+  EXPECT_NEAR(r.energy, reference.energy, 1e-10);
   EXPECT_EQ(builder.builds(), r.iterations);
 }
 
@@ -52,10 +60,9 @@ TEST_F(DistributedFockTest, CounterModelMatchesSequential) {
   options.model = ExecModel::kCounter;
   options.counter_chunk = 2;
   DistributedFockBuilder builder(basis, runtime, options);
-  const chem::ScfResult r =
-      chem::run_rhf_with_builder(mol, basis, builder.as_g_builder());
+  const chem::ScfResult r = incremental_scf(builder);
   EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.energy, reference.energy, 1e-9);
+  EXPECT_NEAR(r.energy, reference.energy, 1e-10);
   EXPECT_GT(builder.last_stats().ranks[0].counter_ops, 0);
 }
 
@@ -64,10 +71,9 @@ TEST_F(DistributedFockTest, WorkStealingModelMatchesSequential) {
   DistributedFockOptions options;
   options.model = ExecModel::kWorkStealing;
   DistributedFockBuilder builder(basis, runtime, options);
-  const chem::ScfResult r =
-      chem::run_rhf_with_builder(mol, basis, builder.as_g_builder());
+  const chem::ScfResult r = incremental_scf(builder);
   EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.energy, reference.energy, 1e-9);
+  EXPECT_NEAR(r.energy, reference.energy, 1e-10);
 }
 
 TEST_F(DistributedFockTest, StatsAccountForAllTasks) {
@@ -297,10 +303,9 @@ TEST_F(HybridFockTest, HybridScfMatchesSequentialAndCountsCounterOps) {
   options.threads = 4;
   options.intra_policy = IntraPolicy::kCounter;
   DistributedFockBuilder builder(basis, runtime, options);
-  const chem::ScfResult r =
-      chem::run_rhf_with_builder(mol, basis, builder.as_g_builder());
+  const chem::ScfResult r = incremental_scf(builder);
   EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.energy, reference.energy, 1e-9);
+  EXPECT_NEAR(r.energy, reference.energy, 1e-10);
   EXPECT_GT(builder.last_stats().ranks[0].counter_ops, 0);
 }
 
@@ -460,6 +465,192 @@ TEST_F(HybridFockTest, RandomizedDifferentialAgainstSequential) {
     EXPECT_TRUE(g.almost_equal(g_ref, 1e-10)) << where;
     EXPECT_EQ(builder.last_stats().total_tasks(), n_tasks) << where;
   }
+}
+
+// ---------------------------------------------------------------------
+// The distributed increment: the density screen through the slot loop.
+// Its table is built once per build from the caller's density, so the
+// screen decisions, and with them the quartet counts, are the same on
+// every rank, thread, policy and substrate.
+
+/// `base` plus a symmetric perturbation whose elements span six decades
+/// below `scale`, so the density screen skips some quartets and keeps
+/// others.
+linalg::Matrix perturbed(const linalg::Matrix& base, double scale,
+                         std::uint64_t seed) {
+  emc::Rng rng(seed);
+  linalg::Matrix d = base;
+  for (std::size_t r = 0; r < d.rows(); ++r) {
+    for (std::size_t c = 0; c <= r; ++c) {
+      const double x = scale * std::pow(10.0, -rng.uniform(0.0, 6.0)) *
+                       rng.uniform(-1.0, 1.0);
+      d(r, c) += x;
+      if (c != r) d(c, r) += x;
+    }
+  }
+  return d;
+}
+
+TEST_F(HybridFockTest, ScreenedBuildsBitwiseAcrossThreadsAndIntraPolicies) {
+  const linalg::Matrix d1 = make_density();
+  const linalg::Matrix d2 = perturbed(d1, 1e-3, 1);
+  const linalg::Matrix d3 = perturbed(d2, 1e-8, 2);
+  linalg::Matrix delta = d3;
+  delta -= d2;
+  struct Run {
+    linalg::Matrix screened;
+    std::uint64_t screened_quartets = 0;
+    std::vector<linalg::Matrix> steps;
+    std::vector<std::uint64_t> step_quartets;
+  };
+  auto run = [&](int threads, IntraPolicy intra) {
+    DistributedFockOptions options;
+    options.model = ExecModel::kStatic;
+    options.static_balancer = "lpt";
+    options.threads = threads;
+    options.intra_policy = intra;
+    options.intra_chunk = 2;
+    pgas::Runtime runtime(2);
+    DistributedFockBuilder builder(basis, runtime, options);
+    Run out;
+    out.screened =
+        builder.build_g(delta, chem::Screen::kDensity, &out.screened_quartets);
+    chem::IncrementalGBuilder g(builder);
+    for (const linalg::Matrix* d : {&d1, &d2, &d3}) out.steps.push_back(g(*d));
+    out.step_quartets = g.quartets();
+    return out;
+  };
+  const Run ref = run(1, IntraPolicy::kStatic);
+  // The screen skips something at the last, smallest step.
+  const chem::FockBuilder sequential(basis);
+  std::uint64_t schwarz_quartets = 0;
+  sequential.build_g(delta, chem::Screen::kSchwarz, &schwarz_quartets);
+  EXPECT_GT(ref.screened_quartets, 0u);
+  EXPECT_LT(ref.screened_quartets, schwarz_quartets);
+  EXPECT_EQ(ref.step_quartets.back(), ref.screened_quartets);
+  for (const int threads : {1, 2, 4}) {
+    for (const IntraPolicy intra :
+         {IntraPolicy::kStatic, IntraPolicy::kCounter,
+          IntraPolicy::kWorkStealing}) {
+      const std::string where = "threads=" + std::to_string(threads) +
+                                " intra=" + intra_name(intra);
+      const Run r = run(threads, intra);
+      EXPECT_TRUE(bitwise_equal(ref.screened, r.screened)) << where;
+      EXPECT_EQ(ref.screened_quartets, r.screened_quartets) << where;
+      ASSERT_EQ(r.steps.size(), 3u) << where;
+      for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_TRUE(bitwise_equal(ref.steps[i], r.steps[i]))
+            << where << " step " << i;
+      }
+      EXPECT_EQ(ref.step_quartets, r.step_quartets) << where;
+    }
+  }
+}
+
+TEST_F(HybridFockTest, ZeroDensityChangeEvaluatesNoQuartets) {
+  // Twin of the sequential DensityScreenTest case.
+  pgas::Runtime runtime(2);
+  DistributedFockOptions options;
+  options.threads = 2;
+  DistributedFockBuilder builder(basis, runtime, options);
+  const auto n = static_cast<std::size_t>(basis.function_count());
+  std::uint64_t quartets = 1;
+  const linalg::Matrix g =
+      builder.build_g(linalg::Matrix(n, n), chem::Screen::kDensity, &quartets);
+  EXPECT_EQ(quartets, 0u);
+  EXPECT_EQ(g.max_abs(), 0.0);
+
+  // Repeating a density adds nothing: the same G, bit for bit.
+  const linalg::Matrix d = make_density();
+  chem::IncrementalGBuilder incremental(builder);
+  const linalg::Matrix first = incremental(d);
+  const linalg::Matrix again = incremental(d);
+  ASSERT_EQ(incremental.quartets().size(), 2u);
+  EXPECT_GT(incremental.quartets()[0], 0u);
+  EXPECT_EQ(incremental.quartets()[1], 0u);
+  EXPECT_TRUE(bitwise_equal(first, again));
+}
+
+TEST_F(HybridFockTest, QuartetCounterSumsTheScfBuilds) {
+  util::MetricsRegistry registry;
+  DistributedFockOptions options;
+  options.threads = 2;
+  options.metrics = &registry;
+  pgas::Runtime runtime(2);
+  DistributedFockBuilder builder(basis, runtime, options);
+  chem::IncrementalGBuilder g(builder);
+  const chem::ScfResult r = chem::run_rhf_with_builder(mol, basis, std::ref(g));
+  ASSERT_TRUE(r.converged);
+  const std::uint64_t total = std::accumulate(
+      g.quartets().begin(), g.quartets().end(), std::uint64_t{0});
+  EXPECT_GT(total, 0u);
+  EXPECT_EQ(registry.counter("fock/quartets").value(),
+            static_cast<std::int64_t>(total));
+}
+
+/// Water2/6-31G*: d shells and a density screen that bites.
+class DistributedIncrementTest : public ::testing::Test {
+ protected:
+  DistributedIncrementTest()
+      : mol(chem::make_water_cluster(2)),
+        basis(chem::BasisSet::build(mol, "6-31g*")) {}
+
+  static DistributedFockOptions two_threads() {
+    DistributedFockOptions options;
+    options.threads = 2;
+    return options;
+  }
+
+  chem::Molecule mol;
+  chem::BasisSet basis;
+};
+
+TEST_F(DistributedIncrementTest, IncrementMatchesSequentialAtEveryIteration) {
+  // The sequential SCF's densities, replayed through the distributed
+  // builder: each increment G(P_i) - G(P_{i-1}) agrees with the
+  // sequential one and evaluates the same quartets.
+  const chem::FockBuilder sequential(basis);
+  chem::IncrementalGBuilder seq_g(sequential);
+  std::vector<linalg::Matrix> densities, seq_steps;
+  const chem::ScfResult r = chem::run_rhf_with_builder(
+      mol, basis, [&](const linalg::Matrix& p) {
+        densities.push_back(p);
+        seq_steps.push_back(seq_g(p));
+        return seq_steps.back();
+      });
+  ASSERT_TRUE(r.converged);
+
+  pgas::Runtime runtime(2);
+  DistributedFockBuilder builder(basis, runtime, two_threads());
+  chem::IncrementalGBuilder g(builder);
+  linalg::Matrix seq_prev(seq_steps[0].rows(), seq_steps[0].cols());
+  linalg::Matrix prev = seq_prev;
+  for (std::size_t i = 0; i < densities.size(); ++i) {
+    const linalg::Matrix step = g(densities[i]);
+    linalg::Matrix increment = step, seq_increment = seq_steps[i];
+    increment -= prev;
+    seq_increment -= seq_prev;
+    EXPECT_TRUE(increment.almost_equal(seq_increment, 1e-10))
+        << "iteration " << i;
+    prev = step;
+    seq_prev = seq_steps[i];
+  }
+  EXPECT_EQ(g.quartets(), seq_g.quartets());
+}
+
+TEST_F(DistributedIncrementTest, IncrementalScfMatchesFullBuildScf) {
+  pgas::Runtime runtime(2);
+  DistributedFockBuilder builder(basis, runtime, two_threads());
+  chem::IncrementalGBuilder g(builder);
+  const chem::ScfResult incremental =
+      chem::run_rhf_with_builder(mol, basis, std::ref(g));
+  const chem::ScfResult full = chem::run_rhf_with_builder(
+      mol, basis, [&](const linalg::Matrix& p) { return builder.build_g(p); });
+  EXPECT_TRUE(incremental.converged);
+  EXPECT_EQ(incremental.iterations, full.iterations);
+  EXPECT_NEAR(incremental.energy, full.energy, 1e-9);
+  // The density change shrinks, so the last build screens more.
+  EXPECT_LT(g.quartets().back(), g.quartets().front());
 }
 
 }  // namespace

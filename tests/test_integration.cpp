@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 
 #include "chem/fock.hpp"
 #include "chem/scf.hpp"
@@ -59,12 +60,13 @@ TEST(IntegrationTest, FullScfThroughParallelExecutor) {
   pgas::Runtime runtime(4);
   core::DistributedFockBuilder parallel_builder(basis, runtime,
                                                 work_stealing_options());
-  const chem::ScfResult parallel = chem::run_rhf_with_builder(
-      mol, basis, parallel_builder.as_g_builder());
+  chem::IncrementalGBuilder g(parallel_builder);
+  const chem::ScfResult parallel =
+      chem::run_rhf_with_builder(mol, basis, std::ref(g));
   const chem::ScfResult sequential = chem::run_rhf(mol, basis);
 
   EXPECT_TRUE(parallel.converged);
-  EXPECT_NEAR(parallel.energy, sequential.energy, 1e-8);
+  EXPECT_NEAR(parallel.energy, sequential.energy, 1e-10);
 }
 
 TEST(IntegrationTest, CounterSchedulerScfMatchesToo) {
@@ -76,8 +78,9 @@ TEST(IntegrationTest, CounterSchedulerScfMatchesToo) {
   options.counter_chunk = 1;
   core::DistributedFockBuilder counter_builder(basis, runtime, options);
 
-  const chem::ScfResult a = chem::run_rhf_with_builder(
-      mol, basis, counter_builder.as_g_builder());
+  chem::IncrementalGBuilder g(counter_builder);
+  const chem::ScfResult a =
+      chem::run_rhf_with_builder(mol, basis, std::ref(g));
   const chem::ScfResult b = chem::run_rhf(mol, basis);
   EXPECT_NEAR(a.energy, b.energy, 1e-10);
   EXPECT_NEAR(a.energy, -1.1167, 2e-4);

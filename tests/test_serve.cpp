@@ -178,7 +178,7 @@ TEST(FockCacheTest, SingleFlightMakesMissCountDistinctKeys) {
 
 TEST(FockCacheTest, PublishesMetricsWhenRegistryGiven) {
   util::MetricsRegistry metrics;
-  FockCache cache(1, 1e-10, &metrics);
+  FockCache cache(1, &metrics);
   cache.get("h2", "sto-3g");
   cache.get("h2", "sto-3g");
   cache.get("h2", "6-31g");  // evicts

@@ -596,6 +596,33 @@ TEST(JsonParserTest, RejectsNonFiniteNumberLiterals) {
   }
 }
 
+TEST(JsonParserTest, BoundsNestingDepth) {
+  // Hostile nesting fails with a message instead of overflowing the
+  // recursive descent's stack; nesting up to the limit still parses.
+  struct Nest {
+    const char* open;
+    const char* leaf;
+    char close;
+  };
+  for (const Nest nest : {Nest{"[", "", ']'}, Nest{"{\"a\":", "1", '}'}}) {
+    auto nested = [&nest](int depth, bool closed) {
+      std::string doc;
+      for (int i = 0; i < depth; ++i) doc += nest.open;
+      doc += nest.leaf;
+      if (closed) doc.append(static_cast<std::size_t>(depth), nest.close);
+      return doc;
+    };
+    EXPECT_THROW(emc::util::parse_json(nested(100000, false)),
+                 std::runtime_error)
+        << nest.open;
+    const int limit = emc::util::kMaxJsonDepth;
+    EXPECT_NO_THROW(emc::util::parse_json(nested(limit, true))) << nest.open;
+    EXPECT_THROW(emc::util::parse_json(nested(limit + 1, true)),
+                 std::runtime_error)
+        << nest.open;
+  }
+}
+
 TEST(JsonWriterTest, NonFiniteDoublesEmitNull) {
   std::ostringstream out;
   emc::bench::JsonWriter w(out);
