@@ -189,9 +189,11 @@ struct KernelScratch {
 /// scalar kernel's, in the same order: the W of a (bra primitive, ket
 /// pair) group is zeroed at its first lane, accumulates its lanes in
 /// primitive order, and is contracted into the ket pair's block after
-/// its last, so every block's bits are those of a one-ket call.
+/// its last, so every block's bits are those of a one-ket call. Returns
+/// the number of batches run.
 template <int LAB, int LCD>
-void eri_kernel(const ShellPairData& bra, std::span<const EriKet> kets) {
+std::size_t eri_kernel(const ShellPairData& bra,
+                       std::span<const EriKet> kets) {
   using Scratch = KernelScratch<LAB, LCD>;
   static_assert(sizeof(Scratch) <= kKernelScratchBytes);
   constexpr int kL = LAB + LCD;
@@ -246,7 +248,9 @@ void eri_kernel(const ShellPairData& bra, std::span<const EriKet> kets) {
     }
   };
 
+  std::size_t batches = 0;
   auto run = [&](std::size_t n) {
+    ++batches;
     boys_lanes<kL>(n, s.x.data(), s.f.data());
     if constexpr (kL > 0) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -347,7 +351,7 @@ void eri_kernel(const ShellPairData& bra, std::span<const EriKet> kets) {
       }
     }
   }
-  run(n);
+  if (n > 0) run(n);
   if (open != kNone) contract();
 
   // Per-component contracted normalization.
@@ -367,9 +371,10 @@ void eri_kernel(const ShellPairData& bra, std::span<const EriKet> kets) {
       }
     }
   }
+  return batches;
 }
 
-using Kernel = void (*)(const ShellPairData&, std::span<const EriKet>);
+using Kernel = std::size_t (*)(const ShellPairData&, std::span<const EriKet>);
 
 /// Total momenta 0..4 per side: one kernel per (la+lb, lc+ld).
 constexpr int kTotals = 2 * kMaxShellL + 1;
@@ -384,29 +389,20 @@ constexpr std::array<Kernel, sizeof...(I)> make_kernels(
 constexpr auto kKernels =
     make_kernels(std::make_index_sequence<kTotals * kTotals>{});
 
-template <std::size_t... I>
-constexpr std::array<std::size_t, sizeof...(I)> make_lane_capacities(
-    std::index_sequence<I...>) {
-  return {KernelScratch<static_cast<int>(I) / kTotals,
-                        static_cast<int>(I) % kTotals>::kLanes...};
-}
-
-constexpr auto kLaneCapacities =
-    make_lane_capacities(std::make_index_sequence<kTotals * kTotals>{});
-
 std::size_t kernel_index(int lab, int lcd) {
   return static_cast<std::size_t>(lab * kTotals + lcd);
 }
 
 }  // namespace
 
-void eri_shell_quartets(const ShellPairData& bra,
-                        std::span<const EriKet> kets) {
+std::size_t eri_shell_quartets(const ShellPairData& bra,
+                               std::span<const EriKet> kets) {
   unsigned classes = 0;
   for (const EriKet& k : kets) classes |= 1u << (k.pair->la + k.pair->lb);
   // Each ket class present runs through its kernel, up to
   // kEriWindowKets ket pairs at a time, in span order.
   std::array<EriKet, kEriWindowKets> group;
+  std::size_t batches = 0;
   for (int lcd = 0; lcd < kTotals; ++lcd) {
     if (((classes >> lcd) & 1u) == 0) continue;
     const Kernel kernel = kKernels[kernel_index(bra.la + bra.lb, lcd)];
@@ -415,22 +411,19 @@ void eri_shell_quartets(const ShellPairData& bra,
       if (k.pair->la + k.pair->lb != lcd) continue;
       group[n++] = k;
       if (n == group.size()) {
-        kernel(bra, {group.data(), n});
+        batches += kernel(bra, {group.data(), n});
         n = 0;
       }
     }
-    if (n > 0) kernel(bra, {group.data(), n});
+    if (n > 0) batches += kernel(bra, {group.data(), n});
   }
+  return batches;
 }
 
 void eri_shell_quartet(const ShellPairData& bra, const ShellPairData& ket,
                        double* out) {
   const EriKet one{&ket, out};
   kKernels[kernel_index(bra.la + bra.lb, ket.la + ket.lb)](bra, {&one, 1});
-}
-
-std::size_t eri_lane_capacity(int lab, int lcd) {
-  return kLaneCapacities[kernel_index(lab, lcd)];
 }
 
 std::size_t surviving_prim_quartets(const ShellPairData& bra,

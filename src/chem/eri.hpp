@@ -23,16 +23,16 @@
 // instantiated once per (la+lb, lc+ld), 25 instances: in each, the bra's
 // W columns (every (t, u, v) with t+u+v <= la+lb), their R offsets and
 // the Boys/R order are compile-time constants. It is batched over a span
-// of ket pairs: per bra primitive pair, the surviving primitive quartets
-// of all its ket pairs become lanes, and each batch of lanes runs the
-// Boys evaluation, the R recursion and the W update as loops over
-// lanes, so the lanes' latency chains overlap. A lane does the same
-// operations in the same order as a quartet evaluated alone: the blocks'
-// bits are pinned by FNV-1a digests in test_chem_eri_pairs, for single
-// quartets and for windows alike. The seed kernel that
-// rebuilt everything per call and ran the six-deep Hermite sum per
-// component quadruple is kept as eri_shell_quartet_direct — the
-// reference/benchmark baseline.
+// of ket pairs: the surviving primitive quartets of every bra primitive
+// pair and ket pair become lanes, in the scalar order, and each batch of
+// lanes, which may span bra primitives, runs the Boys evaluation, the R
+// recursion and the W update as loops over lanes, so the lanes' latency
+// chains overlap. A lane does the same operations in the same order as a
+// quartet evaluated alone: the blocks' bits are pinned by FNV-1a digests
+// in test_chem_eri_pairs, for single quartets and for windows alike.
+// The seed kernel that rebuilt everything per call and ran the six-deep
+// Hermite sum per component quadruple is kept as
+// eri_shell_quartet_direct — the reference/benchmark baseline.
 
 #include <cstddef>
 #include <span>
@@ -102,14 +102,17 @@ struct EriKet {
 };
 
 /// Computes the contracted, normalized quartets (bra|kets[i]) into
-/// kets[i].out — the batched entry a Fock build's tasks run. Ket pairs
-/// of any class may be mixed: the pairs of each ket class lc+ld run
-/// through that class's kernel, kEriWindowKets at a time, whose
-/// primitive quartets run in lanes. Every block is
-/// bitwise equal to eri_shell_quartet(bra, *kets[i].pair, ...), whatever
-/// else the span holds. Allocates nothing.
-void eri_shell_quartets(const ShellPairData& bra,
-                        std::span<const EriKet> kets);
+/// kets[i].out — the batched entry a Fock build's tasks run, one window
+/// (FockBuilder::for_each_window) at a time. Ket pairs of any class may
+/// be mixed: the pairs of each ket class lc+ld run through that class's
+/// kernel, kEriWindowKets at a time, whose primitive quartets run in
+/// lanes. Every block is bitwise equal to eri_shell_quartet(bra,
+/// *kets[i].pair, ...), whatever else the span holds. Returns the
+/// number of lane batches the kernels ran: a batch holds up to a
+/// kernel's lane capacity of surviving primitive quartets, gathered
+/// across bra primitives. Allocates nothing.
+std::size_t eri_shell_quartets(const ShellPairData& bra,
+                               std::span<const EriKet> kets);
 
 /// Computes one quartet (ab|cd) of two cached shell pairs into `out`
 /// (sized and laid out as EriKet::out): the batched kernel over a single
@@ -117,22 +120,9 @@ void eri_shell_quartets(const ShellPairData& bra,
 void eri_shell_quartet(const ShellPairData& bra, const ShellPairData& ket,
                        double* out);
 
-/// A Fock-build task evaluates its screened ket pairs in windows: ket
-/// pairs in loop order whose blocks share one kMaxQuartetSize-double
-/// buffer, at most kEriWindowKets of them. True when a window holding
-/// `kets` pairs and `doubles` output doubles must close before a block
-/// of `block` doubles joins it; a block that fills the buffer on its own
-/// is a window of one.
+/// Ket pairs one eri_shell_quartets call passes to a kernel at most,
+/// and so the most a Fock build's window holds.
 inline constexpr std::size_t kEriWindowKets = 64;
-constexpr bool eri_window_full(std::size_t kets, std::size_t doubles,
-                               std::size_t block) {
-  return kets == kEriWindowKets || doubles + block > kMaxQuartetSize;
-}
-
-/// Primitive quartets one batch of the (lab|lcd) kernel holds: the
-/// lanes whose Boys values and R tables are live at once. Fewer for
-/// high orders, whose R tables are larger.
-std::size_t eri_lane_capacity(int lab, int lcd);
 
 /// Primitive quartets of (bra|ket) that eri_shell_quartet evaluates: the
 /// pairs of bra and ket primitive pairs whose bound product survives

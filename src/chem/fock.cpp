@@ -1,7 +1,6 @@
 #include "chem/fock.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -35,35 +34,6 @@ std::vector<ShellPairTask> FockBuilder::make_tasks() const {
     }
   }
   return tasks;
-}
-
-template <typename QuartetFn>
-void FockBuilder::for_each_ket_pair(const ShellPairTask& task,
-                                    const linalg::Matrix* block_max,
-                                    QuartetFn&& fn) const {
-  const auto i = static_cast<std::size_t>(task.si);
-  const auto j = static_cast<std::size_t>(task.sj);
-  const double q_bra = schwarz_(i, j);
-  const double d_bra = block_max != nullptr ? (*block_max)(i, j) : 0.0;
-  const int n = static_cast<int>(basis_->shell_count());
-  for (int k = 0; k < n; ++k) {
-    for (int l = 0; l <= k; ++l) {
-      if (pair_rank(k, l) > task.rank) return;
-      const auto uk = static_cast<std::size_t>(k);
-      const auto ul = static_cast<std::size_t>(l);
-      const double q = q_bra * schwarz_(uk, ul);
-      if (screen_threshold_ > 0.0 && q < screen_threshold_) continue;
-      if (block_max != nullptr) {
-        // J reads D_ij and D_kl, K reads the four cross blocks.
-        const linalg::Matrix& d = *block_max;
-        const double weight =
-            std::max({4.0 * std::max(d_bra, d(uk, ul)), d(i, uk), d(i, ul),
-                      d(j, uk), d(j, ul)});
-        if (q * weight < screen_threshold_) continue;
-      }
-      fn(k, l);
-    }
-  }
 }
 
 TaskCostFeatures FockBuilder::task_cost_features(
@@ -198,34 +168,19 @@ std::uint64_t FockBuilder::execute_task(const ShellPairTask& task,
                                         linalg::Matrix& j_accum,
                                         linalg::Matrix& k_accum,
                                         const linalg::Matrix* block_max) const {
-  const ShellPairData& bra = pairs_.pair(task.si, task.sj);
-  const auto bra_size = static_cast<std::size_t>(bra.na() * bra.nb());
-  // The surviving ket pairs in loop order, evaluated a window at a time
-  // and then digested in that order, so J and K keep their bits.
-  std::array<double, kMaxQuartetSize> blocks;
-  std::array<EriKet, kEriWindowKets> window;
-  static_assert(sizeof(blocks) + sizeof(window) <= 16 * 1024);
-  std::size_t kets = 0, used = 0;
-  auto flush = [&] {
-    eri_shell_quartets(bra, {window.data(), kets});
-    for (std::size_t w = 0; w < kets; ++w) {
-      // Only the last ket pair of a task, (si, sj) itself, is the bra.
-      digest_quartet(bra, *window[w].pair, window[w].pair == &bra,
-                     window[w].out, density, j_accum, k_accum);
-    }
-    kets = used = 0;
-  };
+  // Each window is evaluated and then digested in loop order, so J and
+  // K keep their bits.
   std::uint64_t quartets = 0;
-  for_each_ket_pair(task, block_max, [&](int k, int l) {
-    const ShellPairData& ket = pairs_.pair(k, l);
-    const std::size_t size =
-        bra_size * static_cast<std::size_t>(ket.na() * ket.nb());
-    if (eri_window_full(kets, used, size)) flush();
-    window[kets++] = EriKet{&ket, blocks.data() + used};
-    used += size;
-    ++quartets;
+  for_each_window(task, block_max, [&](const ShellPairData& bra,
+                                       std::span<const EriKet> kets) {
+    eri_shell_quartets(bra, kets);
+    for (const EriKet& k : kets) {
+      // Only the last ket pair of a task, (si, sj) itself, is the bra.
+      digest_quartet(bra, *k.pair, k.pair == &bra, k.out, density, j_accum,
+                     k_accum);
+    }
+    quartets += kets.size();
   });
-  if (kets > 0) flush();
   return quartets;
 }
 

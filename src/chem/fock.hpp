@@ -11,10 +11,14 @@
 // therefore vary by orders of magnitude — the heterogeneity that drives
 // the execution-model comparison.
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "chem/basis.hpp"
+#include "chem/eri.hpp"
 #include "chem/molecule.hpp"
 #include "chem/shell_pair.hpp"
 #include "linalg/matrix.hpp"
@@ -89,6 +93,37 @@ class FockBuilder {
                              linalg::Matrix& j_accum, linalg::Matrix& k_accum,
                              const linalg::Matrix* block_max = nullptr) const;
 
+  /// The kernel calls of execute_task: calls fn(bra, kets) once per
+  /// window of `task`, kets being its ket pairs that survive the Schwarz
+  /// screen and, when `block_max` is non-null, the density screen, in
+  /// loop order (ascending pair rank). A window holds at most
+  /// kEriWindowKets ket pairs whose blocks tile one kMaxQuartetSize-
+  /// double stack buffer from its start (kets[0].out); a block that
+  /// fills the buffer alone is a window of one. The span and the buffer
+  /// are valid only during the call. Allocates nothing.
+  template <typename WindowFn>
+  void for_each_window(const ShellPairTask& task,
+                       const linalg::Matrix* block_max, WindowFn&& fn) const {
+    const ShellPairData& bra = pairs_.pair(task.si, task.sj);
+    const auto bra_size = static_cast<std::size_t>(bra.na() * bra.nb());
+    std::array<double, kMaxQuartetSize> blocks;
+    std::array<EriKet, kEriWindowKets> window;
+    static_assert(sizeof(blocks) + sizeof(window) <= 16 * 1024);
+    std::size_t kets = 0, used = 0;
+    for_each_ket_pair(task, block_max, [&](int k, int l) {
+      const ShellPairData& ket = pairs_.pair(k, l);
+      const std::size_t size =
+          bra_size * static_cast<std::size_t>(ket.na() * ket.nb());
+      if (kets == kEriWindowKets || used + size > kMaxQuartetSize) {
+        fn(bra, std::span<const EriKet>(window.data(), kets));
+        kets = used = 0;
+      }
+      window[kets++] = EriKet{&ket, blocks.data() + used};
+      used += size;
+    });
+    if (kets > 0) fn(bra, std::span<const EriKet>(window.data(), kets));
+  }
+
   /// Throws std::invalid_argument unless `density` is n x n and
   /// symmetric to 1e-12 relative to its largest element: the digest is
   /// exact only for D = D^T.
@@ -138,7 +173,31 @@ class FockBuilder {
   template <typename QuartetFn>
   void for_each_ket_pair(const ShellPairTask& task,
                          const linalg::Matrix* block_max,
-                         QuartetFn&& fn) const;
+                         QuartetFn&& fn) const {
+    const auto i = static_cast<std::size_t>(task.si);
+    const auto j = static_cast<std::size_t>(task.sj);
+    const double q_bra = schwarz_(i, j);
+    const double d_bra = block_max != nullptr ? (*block_max)(i, j) : 0.0;
+    const int n = static_cast<int>(basis_->shell_count());
+    for (int k = 0; k < n; ++k) {
+      for (int l = 0; l <= k; ++l) {
+        if (pair_rank(k, l) > task.rank) return;
+        const auto uk = static_cast<std::size_t>(k);
+        const auto ul = static_cast<std::size_t>(l);
+        const double q = q_bra * schwarz_(uk, ul);
+        if (screen_threshold_ > 0.0 && q < screen_threshold_) continue;
+        if (block_max != nullptr) {
+          // J reads D_ij and D_kl, K reads the four cross blocks.
+          const linalg::Matrix& d = *block_max;
+          const double weight =
+              std::max({4.0 * std::max(d_bra, d(uk, ul)), d(i, uk),
+                        d(i, ul), d(j, uk), d(j, ul)});
+          if (q * weight < screen_threshold_) continue;
+        }
+        fn(k, l);
+      }
+    }
+  }
 
   const BasisSet* basis_;
   double screen_threshold_;

@@ -152,11 +152,14 @@ JsonValue JsonParser::parse_number() {
   if (pos_ == start) fail("expected a value");
   JsonValue v;
   v.kind = JsonValue::Kind::kNumber;
+  // The token must be one number: stod alone would read "1-2" as 1.
+  std::size_t used = 0;
   try {
-    v.number = std::stod(text_.substr(start, pos_ - start));
+    v.number = std::stod(text_.substr(start, pos_ - start), &used);
   } catch (const std::exception&) {
     fail("bad number");
   }
+  if (used != pos_ - start) fail("bad number");
   // stod accepts "inf"/"nan" spellings and saturates huge exponents like
   // 1e999 to infinity without throwing on all platforms — reject both.
   if (!std::isfinite(v.number)) fail("non-finite number");

@@ -14,12 +14,14 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "chem/basis.hpp"
 #include "chem/boys.hpp"
 #include "chem/eri.hpp"
+#include "chem/fock.hpp"
 #include "chem/integrals.hpp"
 #include "chem/molecule.hpp"
 #include "chem/shell_pair.hpp"
@@ -288,33 +290,22 @@ TEST(ShellPairEriTest, PinnedDigestOfWater2CanonicalBlocks) {
   EXPECT_EQ(quartets, 22155u);
   EXPECT_EQ(h, 0xdcbcbb2772a9eabaULL) << "digest=0x" << std::hex << h;
 
-  // The same blocks through the batched entry, each bra's ket pairs
-  // grouped into windows as a Fock-build task groups them.
-  std::array<double, kMaxQuartetSize> buffer;
-  std::array<EriKet, kEriWindowKets> window;
+  // The same blocks through the batched entry, in the windows a
+  // Fock build forms: with a zero threshold nothing is screened, so a
+  // task's windows hold the same quartets in the same order.
+  const FockBuilder builder(basis, 0.0);
   std::uint64_t hb = 0xcbf29ce484222325ULL;
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j <= i; ++j) {
-      const ShellPairData& bra = pairs.pair(i, j);
-      const auto bra_size = static_cast<std::size_t>(bra.na() * bra.nb());
-      std::size_t kets = 0, used = 0;
-      auto flush = [&] {
-        eri_shell_quartets(bra, {window.data(), kets});
-        hb = fnv1a(buffer.data(), used, hb);
-        kets = used = 0;
-      };
-      for (int k = 0; k <= i; ++k) {
-        for (int l = 0; l <= (k == i ? j : k); ++l) {
-          const ShellPairData& ket = pairs.pair(k, l);
-          const std::size_t size =
-              bra_size * static_cast<std::size_t>(ket.na() * ket.nb());
-          if (eri_window_full(kets, used, size)) flush();
-          window[kets++] = EriKet{&ket, buffer.data() + used};
-          used += size;
-        }
-      }
-      flush();
-    }
+  for (const ShellPairTask& task : builder.make_tasks()) {
+    builder.for_each_window(
+        task, nullptr,
+        [&](const ShellPairData& bra, std::span<const EriKet> kets) {
+          eri_shell_quartets(bra, kets);
+          const EriKet& last = kets.back();
+          const auto used = static_cast<std::size_t>(
+              last.out - kets.front().out +
+              bra.na() * bra.nb() * last.pair->na() * last.pair->nb());
+          hb = fnv1a(kets.front().out, used, hb);
+        });
   }
   EXPECT_EQ(hb, 0xdcbcbb2772a9eabaULL) << "digest=0x" << std::hex << hb;
 }
@@ -463,6 +454,37 @@ TEST(BatchedEriTest, RandomWindowsMatchDirectAndSingleQuartetsBitwise) {
     }
   }
   EXPECT_EQ(classes_seen, 81);
+}
+
+TEST(BatchedEriTest, ReturnsTheLaneBatchesItRuns) {
+  // A batch is filled across bra primitives: two bra primitive pairs
+  // against three one-primitive (ss) ket pairs are six lanes, one batch
+  // of the (ss|ss) kernel, where counting per bra primitive gives two.
+  // A ket pair of another class runs through its own kernel: one more.
+  emc::Rng rng(29);
+  const ShellPairData bra =
+      make_shell_pair(shell_with(rng, 0, {0.0, 0.0, 0.0}, {3.0, 0.7}),
+                      shell_with(rng, 0, {0.0, 0.0, 0.9}, {1.2}));
+  std::vector<ShellPairData> kets;
+  for (int j = 0; j < 4; ++j) {
+    const Vec3 c{0.6 * j, 0.4, 0.0};
+    kets.push_back(make_shell_pair(shell_with(rng, j == 3 ? 1 : 0, c, {0.9}),
+                                   shell_with(rng, 0, c, {1.5})));
+  }
+  ASSERT_EQ(bra.prims.size(), 2u);
+  std::array<double, kMaxQuartetSize> buffer;
+  std::vector<EriKet> window;
+  std::size_t used = 0;
+  for (const ShellPairData& ket : kets) {
+    ASSERT_EQ(surviving_prim_quartets(bra, ket), 2u);  // nothing pruned
+    window.push_back(EriKet{&ket, buffer.data() + used});
+    used += static_cast<std::size_t>(ket.na() * ket.nb());
+  }
+  const std::span<const EriKet> ss(window.data(), 3);
+  EXPECT_EQ(eri_shell_quartets(bra, ss), 1u);
+  EXPECT_EQ(eri_shell_quartets(bra, ss.first(1)), 1u);
+  EXPECT_EQ(eri_shell_quartets(bra, window), 2u);
+  EXPECT_EQ(eri_shell_quartets(bra, {}), 0u);
 }
 
 /// Seeded (p, PC) inputs for HermiteR: x = p |PC|^2 = 0, just below the

@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <functional>
 #include <limits>
+#include <span>
 
 #include "chem/eri.hpp"
 #include "chem/fock.hpp"
@@ -501,6 +503,56 @@ TEST(DensityScreenTest, ZeroDensityChangeEvaluatesNoQuartets) {
   EXPECT_GT(incremental.quartets()[0], 0u);
   EXPECT_EQ(incremental.quartets()[1], 0u);
   EXPECT_EQ(max_abs_diff(first, again), 0.0);
+}
+
+TEST(FockBuilderTest, WindowsAreWhatExecuteTaskDigests) {
+  // for_each_window is execute_task's loop: under either screen, a
+  // task's windows hold exactly the quartets it digests, in ascending
+  // pair rank, each within the window bounds, the blocks tiling one
+  // buffer from its start.
+  const BasisSet basis = BasisSet::build(make_water_cluster(2), "6-31g*");
+  const FockBuilder builder(basis);
+  const Matrix density = random_block_density(basis, 30);
+  const Matrix block_max = builder.shell_block_max(density);
+  const auto n = static_cast<std::size_t>(basis.function_count());
+  // ShellPairList stores the pairs by pair rank.
+  const ShellPairData* rank0 = &builder.shell_pairs().pair(0, 0);
+  Matrix j_acc(n, n), k_acc(n, n);
+  std::uint64_t totals[2] = {0, 0};
+  for (const Matrix* screen : {static_cast<const Matrix*>(nullptr),
+                               &block_max}) {
+    for (const ShellPairTask& task : builder.make_tasks()) {
+      const std::uint64_t digested =
+          builder.execute_task(task, density, j_acc, k_acc, screen);
+      std::uint64_t kets_seen = 0;
+      std::ptrdiff_t last_rank = -1;
+      const double* start = nullptr;
+      builder.for_each_window(
+          task, screen,
+          [&](const ShellPairData& bra, std::span<const EriKet> kets) {
+            ASSERT_FALSE(kets.empty());
+            EXPECT_EQ(&bra, &builder.shell_pairs().pair(task.si, task.sj));
+            EXPECT_LE(kets.size(), kEriWindowKets);
+            if (start == nullptr) start = kets.front().out;
+            const double* next = start;
+            for (const EriKet& k : kets) {
+              const std::ptrdiff_t rank = k.pair - rank0;
+              EXPECT_GT(rank, last_rank);
+              EXPECT_LE(rank, static_cast<std::ptrdiff_t>(task.rank));
+              last_rank = rank;
+              EXPECT_EQ(k.out, next);
+              next += bra.na() * bra.nb() * k.pair->na() * k.pair->nb();
+            }
+            EXPECT_LE(next - start,
+                      static_cast<std::ptrdiff_t>(kMaxQuartetSize));
+            kets_seen += kets.size();
+          });
+      EXPECT_EQ(kets_seen, digested) << "task " << task.rank;
+      totals[screen != nullptr] += digested;
+    }
+  }
+  // The density screen dropped quartets the Schwarz screen kept.
+  EXPECT_LT(totals[1], totals[0]);
 }
 
 TEST(ScfTest, IncrementalScfMatchesFullBuildOracle) {

@@ -583,6 +583,11 @@ TEST(JsonParserTest, RejectsMalformedDocuments) {
   EXPECT_THROW(emc::util::parse_json("\"unterminated"), std::runtime_error);
   EXPECT_THROW(emc::util::parse_json(""), std::runtime_error);
   EXPECT_THROW(emc::util::parse_json("{\"a\": bogus}"), std::runtime_error);
+  // A number token must parse whole, not as its valid prefix.
+  for (const char* bad : {"[1-2]", "[1.2.3]", "[1e5e5]"}) {
+    EXPECT_THROW(emc::util::parse_json(bad), std::runtime_error)
+        << "accepted: " << bad;
+  }
 }
 
 TEST(JsonParserTest, RejectsNonFiniteNumberLiterals) {
